@@ -24,9 +24,6 @@ class Tolerances:
     coupling_tol:
         Residual norms at or below this value abort a recursion step instead
         of producing an unreliable coupling.
-    norm_tol:
-        Allowed deviation of per-site modulus-square sums from one for exact
-        (noise-free) measurement records.
     slack_factor:
         Squared couplings from the cycle solve may be negative by this factor
         times the largest solved square before being flagged as inconsistent;
@@ -39,7 +36,6 @@ class Tolerances:
     gap_factor: float = 1e-9
     overlap_tol: float = 1e-9
     coupling_tol: float = 1e-9
-    norm_tol: float = 1e-8
     slack_factor: float = 1e-10
     condition_limit: float = 1e10
 

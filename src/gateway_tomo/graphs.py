@@ -377,9 +377,10 @@ class AccessPlan:
         measured heads are accessed.
         """
         node_set = set(g.nodes)
-        if set(self.access_set) - node_set:
+        access = set(self.access_set)
+        if access - node_set:
             raise InputError("access set contains unknown sites")
-        if self.reference not in self.access_set:
+        if self.reference not in access:
             raise InputError("reference site is not in the access set")
 
         consumed = self.consumed_sites
@@ -389,30 +390,31 @@ class AccessPlan:
         if set(consumed) - node_set:
             raise InputError("plan consumes sites not in the graph")
 
-        edges: list[Edge] = []
         path = self.reference_path
-        edges.extend(edge_key(a, b) for a, b in zip(path, path[1:]))
+        if path and path[0] != self.reference:
+            raise InputError("reference path does not start at the reference site")
+        edges: list[Edge] = list(map(edge_key, path, path[1:]))
         for peel in self.peel_schedule:
             seg = (*peel.nodes, peel.terminal)
             if peel.nodes and peel.nodes[0] != peel.head:
                 raise InputError(f"segment at {peel.head} does not start at its head")
-            if peel.seeded_by_measurement and peel.head not in self.access_set:
+            if peel.seeded_by_measurement and peel.head not in access:
                 raise InputError(f"measured segment head {peel.head} is not accessed")
-            edges.extend(edge_key(a, b) for a, b in zip(seg, seg[1:]))
+            edges.extend(map(edge_key, seg, seg[1:]))
         if self.cycle_plan is not None:
             cyc = self.cycle_plan.cycle
-            edges.extend(edge_key(a, b) for a, b in zip(cyc, cyc[1:]))
-            edges.append(edge_key(cyc[-1], cyc[0]))
+            edges.extend(map(edge_key, cyc, (*cyc[1:], cyc[0])))
             if set(self.cycle_plan.measured) | set(self.cycle_plan.attachments) != set(
                 cyc
             ):
                 raise InputError("cycle plan does not partition the cycle sites")
-        if len(edges) != len(set(edges)):
+        resolved = set(edges)
+        if len(edges) != len(resolved):
             dupes = sorted({e for e in edges if edges.count(e) > 1})
             raise InputError(f"edges resolved more than once: {dupes}")
-        if set(edges) != set(g.edges):
-            missing = sorted(set(g.edges) - set(edges))
-            extra = sorted(set(edges) - set(g.edges))
+        if resolved != set(g.edges):
+            missing = sorted(set(g.edges) - resolved)
+            extra = sorted(resolved - set(g.edges))
             raise InputError(
                 f"plan edge coverage mismatch (missing {missing}, extra {extra})"
             )
