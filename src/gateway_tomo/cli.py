@@ -28,12 +28,11 @@ from .estimation import estimate_spectrum_fft, extrapolate_t0
 from .graphs import (
     AccessPlan,
     NetworkGraph,
+    _estimability,
     classify_topology,
     compute_access_plan,
     graph_from_json,
     infection_closure,
-    is_estimable,
-    is_infecting,
 )
 from .measurement import (
     DecayModel,
@@ -187,7 +186,7 @@ def _prepared_system(args: argparse.Namespace, g: NetworkGraph):
 def _cmd_classify(args: argparse.Namespace) -> dict:
     g = _load_graph(args)
     topo = classify_topology(g)
-    ok, reason = is_estimable(g)
+    ok, reason = _estimability(topo)
     print(f"topology: {topo.kind.value}")
     if topo.cycle:
         print("cycle: " + "-".join(str(n) for n in topo.cycle))
@@ -204,7 +203,7 @@ def _cmd_classify(args: argparse.Namespace) -> dict:
     if args.infect:
         seeds = _parse_int_list(args.infect)
         closure = sorted(infection_closure(g, seeds))
-        spreads = is_infecting(g, seeds)
+        spreads = len(closure) == len(g.nodes)
         print(f"closure of {seeds}: {closure}")
         print(f"infecting: {'yes' if spreads else 'no'}")
         payload["closure"] = closure

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -169,26 +169,39 @@ def infection_closure(g: NetworkGraph, seeds: Iterable[int]) -> frozenset[int]:
     """Spread infection until no infected site has a unique healthy neighbor.
 
     The closure is independent of the order in which infections fire, so a
-    deterministic sorted sweep is used.
+    worklist keeps a healthy-neighbor count per infected site and revisits
+    only sites whose count may have dropped to one: O(N + E).
     """
     infected = set(seeds)
-    bad = infected - set(g.nodes)
+    adj = g.adjacency
+    bad = infected - adj.keys()
     if bad:
         raise InputError(f"seed sites not in graph: {sorted(bad)}")
-    adj = g.adjacency
-    changed = True
-    while changed:
-        changed = False
-        for n in sorted(infected):
-            healthy = [u for u in adj[n] if u not in infected]
-            if len(healthy) == 1:
-                infected.add(healthy[0])
-                changed = True
+    healthy = {}
+    work = []
+    for n in infected:
+        healthy[n] = k = len(adj[n]) - len(infected.intersection(adj[n]))
+        if k == 1:
+            work.append(n)
+    while work:
+        n = work.pop()
+        if healthy[n] == 1:
+            (u,) = set(adj[n]).difference(infected)
+            infected.add(u)
+            k = 0
+            for w in adj[u]:
+                if w in infected:
+                    healthy[w] -= 1
+                    work.append(w)
+                else:
+                    k += 1
+            healthy[u] = k
+            work.append(u)
     return frozenset(infected)
 
 
 def is_infecting(g: NetworkGraph, seeds: Iterable[int]) -> bool:
-    return infection_closure(g, seeds) == set(g.nodes)
+    return len(infection_closure(g, seeds)) == len(g.nodes)
 
 
 def minimum_infecting_sets(
@@ -283,7 +296,7 @@ def classify_topology(g: NetworkGraph) -> TopologyClass:
         return TopologyClass(TopologyKind.DISCONNECTED)
     excess = len(g.edges) - len(g.nodes) + 1
     if excess == 0:
-        max_deg = max((g.degree(n) for n in g.nodes), default=0)
+        max_deg = max(map(len, g.adjacency.values()))
         kind = TopologyKind.PATH if max_deg <= 2 else TopologyKind.TREE
         return TopologyClass(kind, excess=0)
     if excess == 1:
@@ -298,7 +311,10 @@ def is_estimable(g: NetworkGraph) -> tuple[bool, str | None]:
 
     Requires a connected graph with no more edges than sites.
     """
-    topo = classify_topology(g)
+    return _estimability(classify_topology(g))
+
+
+def _estimability(topo: TopologyClass) -> tuple[bool, str | None]:
     if topo.kind is TopologyKind.DISCONNECTED:
         return False, "graph is disconnected"
     if topo.kind is TopologyKind.MULTI_CYCLE:
@@ -446,35 +462,29 @@ def _walk_segment(
     return seg
 
 
-def _subtree_size(g: NetworkGraph, root: int, banned: int) -> int:
-    seen = {banned, root}
-    queue = deque([root])
-    count = 1
-    while queue:
-        n = queue.popleft()
-        for u in g.adjacency[n]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-                count += 1
-    return count
-
-
 def _spine_path(g: NetworkGraph, jstar: int, parent: int) -> list[int]:
     """Descend from a junction into its largest child subtree until a leaf.
 
     Ties between equal subtree sizes go to the larger child label, which
     drops the lexicographically largest leaf from the access set.
     """
+    adj = g.adjacency
+    up = {jstar: parent}
+    order = [jstar]
+    for n in order:
+        for u in adj[n]:
+            if u != up[n]:
+                up[u] = n
+                order.append(u)
+    size = dict.fromkeys(order, 1)
+    for n in order[:0:-1]:
+        size[up[n]] += size[n]
     path = [jstar]
-    cur, par = jstar, parent
     while True:
-        children = [u for u in g.adjacency[cur] if u != par]
+        children = [u for u in adj[path[-1]] if u != up[path[-1]]]
         if not children:
             return path
-        chosen = max(children, key=lambda c: (_subtree_size(g, c, cur), c))
-        path.append(chosen)
-        cur, par = chosen, cur
+        path.append(max(children, key=lambda c: (size[c], c)))
 
 
 def compute_access_plan(
@@ -489,12 +499,12 @@ def compute_access_plan(
     descending spine.
     """
     topo = classify_topology(g)
-    ok, reason = is_estimable(g)
+    ok, reason = _estimability(topo)
     if not ok:
         raise NotEstimableError(reason)
     if len(g.nodes) < 2:
         raise InputError("access planning needs at least two sites")
-    if reference is not None and reference not in set(g.nodes):
+    if reference is not None and reference not in g.adjacency:
         raise InputError(f"reference site {reference} is not in the graph")
     if aggressive and topo.kind not in (TopologyKind.PATH, TopologyKind.TREE):
         raise CapabilityError("aggressive planning is only available for trees")
@@ -515,8 +525,7 @@ def compute_access_plan(
         ref = reference if reference is not None else min(leaves)
         access = set(leaves)
     else:
-        measured_cycle = {n for n in cycle if g.degree(n) == 2}
-        access = set(leaves) | measured_cycle
+        access = set(leaves) | {n for n in cycle if g.degree(n) == 2}
         default = min(leaves) if leaves else min(cycle)
         ref = reference if reference is not None else default
         if ref not in access:
@@ -529,47 +538,36 @@ def compute_access_plan(
         path = [ref]
     else:
         path = _walk_segment(g, ref, resolved, cycle)
-    jstar = path[-1]
 
     spine: list[int] = []
     if aggressive and topo.kind is TopologyKind.TREE:
-        spine = _spine_path(g, jstar, path[-2])
+        spine = _spine_path(g, path[-1], path[-2])
         access.discard(spine[-1])
-    spine_set = set(spine)
 
-    anchors = set(path) | cycle | spine_set
-    consumed = set(path[:-1])
+    anchors = set(path) | cycle | set(spine)
     schedule: list[BranchPeel] = []
-    pending = sorted(n for n in access if n != ref and g.degree(n) == 1)
+    pending = [n for n in leaves if n in access and n != ref]
+    skip = cycle if topo.kind is TopologyKind.UNICYCLIC else anchors
+    branching = [n for n in g.nodes if g.degree(n) >= 3 and n not in skip]
     measured = True
     while pending:
         for head in pending:
             seg = _walk_segment(g, head, resolved, anchors)
-            schedule.append(
-                BranchPeel(head, tuple(seg[:-1]), seg[-1], measured)
-            )
-            consumed.update(seg[:-1])
+            schedule.append(BranchPeel(head, tuple(seg[:-1]), seg[-1], measured))
         measured = False
-        pending = sorted(
+        # A fired head has no open edge left.
+        pending = [
             n
-            for n in g.nodes
-            if g.degree(n) >= 3
-            and n not in consumed
-            and n not in cycle
-            and n not in spine_set
-            and (topo.kind is TopologyKind.UNICYCLIC or n not in set(path))
-            and sum(edge_key(n, u) not in resolved for u in g.adjacency[n]) == 1
-        )
+            for n in branching
+            if sum(edge_key(n, u) not in resolved for u in g.adjacency[n]) == 1
+        ]
 
-    for a, b in zip(spine, spine[1:]):
-        resolved.add(edge_key(a, b))
     i = 0
     while i < len(spine) - 1:
         j = i + 1
         while j < len(spine) - 1 and g.degree(spine[j]) < 3:
             j += 1
         schedule.append(BranchPeel(spine[i], tuple(spine[i:j]), spine[j], False))
-        consumed.update(spine[i:j])
         i = j
 
     cycle_plan = None

@@ -29,8 +29,11 @@ from util import (
     brute_minimum_sets,
     closure_mask,
     graph_to_masks,
+    random_multicycle_edges,
+    random_spider_edges,
     random_tree_edges,
     random_unicyclic_edges,
+    spine_oracle,
 )
 
 
@@ -191,6 +194,41 @@ def test_closure_matches_bitmask_oracle_on_trees(seed, n):
         want = closure_mask(adj, sum(1 << index[s] for s in seeds))
         got = sum(1 << index[s] for s in infection_closure(g, seeds))
         assert got == want
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["unicyclic", "multicycle", "spider"]),
+)
+def test_closure_matches_bitmask_oracle_beyond_trees(seed, family):
+    """Cycles, several cycles, and long-leg spiders whose labels are shuffled
+    so that infection runs against label order; seeds are also passed as a
+    generator, with duplicates and in shuffled order."""
+    rng = np.random.default_rng(seed)
+    if family == "unicyclic":
+        n = int(rng.integers(3, 13))
+        edges = random_unicyclic_edges(rng, n, int(rng.integers(3, n + 1)))
+    elif family == "multicycle":
+        n = int(rng.integers(4, 13))
+        edges = random_multicycle_edges(rng, n, int(rng.integers(2, n)))
+    else:
+        n = int(rng.integers(20, 61))
+        legs = int(rng.integers(3, 7))
+        longest = int(rng.uniform(0.4, 0.6) * (n - 1))
+        cuts = np.sort(rng.choice(np.arange(1, n - 1 - longest), legs - 2, replace=False))
+        rest = np.diff([0, *cuts, n - 1 - longest])
+        edges = random_spider_edges(rng, [longest, *map(int, rest)])
+    g = NetworkGraph.from_edges(edges)
+    adj, index = graph_to_masks(g)
+    for density in (0.05, 0.2, 0.4, 0.7):
+        seeds = [node for node in g.nodes if rng.random() < density]
+        want = closure_mask(adj, sum(1 << index[s] for s in seeds))
+        got = infection_closure(g, seeds)
+        assert sum(1 << index[s] for s in got) == want
+        assert is_infecting(g, seeds) == (want == (1 << n) - 1)
+        shuffled = [int(s) for s in rng.permutation(seeds)]
+        assert infection_closure(g, iter(shuffled)) == got
+        assert infection_closure(g, shuffled + seeds[::2]) == got
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(4, 9))
@@ -398,3 +436,25 @@ def test_plan_access_is_infecting_on_unicyclic(seed, n):
     assert is_infecting(g, plan.access_set)
     assert set(plan.cycle_plan.measured) <= set(plan.access_set)
     plan.validate(g)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(4, 40), st.booleans())
+def test_aggressive_spine_matches_brute_force_oracle(seed, n, equal_legs):
+    """The aggressive plan drops the oracle's leaf and ends with its spine
+    segments; equal-leg stars tie at the hub, where the larger label wins."""
+    rng = np.random.default_rng(seed)
+    if equal_legs:
+        legs = int(rng.integers(3, 7))
+        edges = random_spider_edges(rng, [max(1, (n - 1) // legs)] * legs)
+    else:
+        edges = random_tree_edges(rng, n)
+    g = NetworkGraph.from_edges(edges)
+    if classify_topology(g).kind is TopologyKind.PATH:
+        return
+    dropped, segments = spine_oracle(g)
+    plan = compute_access_plan(g, aggressive=True)
+    leaves = {v for v in g.nodes if g.degree(v) == 1}
+    assert leaves - set(plan.access_set) == {dropped}
+    tail = plan.peel_schedule[len(plan.peel_schedule) - len(segments):]
+    assert [(p.head, p.nodes, p.terminal) for p in tail] == segments
+    assert not any(p.seeded_by_measurement for p in tail)

@@ -71,6 +71,43 @@ def random_unicyclic_edges(
     return edges
 
 
+def random_multicycle_edges(
+    rng: np.random.Generator, n: int, extra: int
+) -> list[tuple[int, int]]:
+    """Random connected graph on 1..n with ``extra`` independent cycles.
+
+    A uniform random tree plus ``extra`` distinct chords between non-adjacent
+    nodes; needs n(n-1)/2 >= n - 1 + extra.
+    """
+    edges = random_tree_edges(rng, n)
+    taken = {frozenset(e) for e in edges}
+    while len(edges) < n - 1 + extra:
+        u, v = (int(x) for x in rng.choice(np.arange(1, n + 1), 2, replace=False))
+        if frozenset((u, v)) not in taken:
+            taken.add(frozenset((u, v)))
+            edges.append((u, v))
+    return edges
+
+
+def random_spider_edges(
+    rng: np.random.Generator, lengths: list[int]
+) -> list[tuple[int, int]]:
+    """Spider with one hub and legs of the given lengths, randomly labelled.
+
+    Labels are a random permutation of 1..N, so label order says nothing
+    about the position of a site on its leg.
+    """
+    n = 1 + sum(lengths)
+    label = [int(x) for x in rng.permutation(np.arange(1, n + 1))]
+    edges, k = [], 1
+    for length in lengths:
+        prev = 0
+        for _ in range(length):
+            edges.append((label[prev], label[k]))
+            prev, k = k, k + 1
+    return edges
+
+
 def random_params(
     rng: np.random.Generator,
     g: NetworkGraph,
@@ -209,3 +246,43 @@ def connected_edge_sets(n: int):
                 for k, (i, j) in enumerate(all_edges)
                 if bits >> k & 1
             ]
+
+
+# --- independent aggressive-spine oracle (recounts subtrees every step) ----
+
+
+def spine_oracle(g: NetworkGraph) -> tuple[int, list[tuple[int, tuple[int, ...], int]]]:
+    """Leaf dropped by the aggressive plan of tree g, and its spine segments.
+
+    Walks from the smallest leaf to the first site of degree >= 3, then
+    descends into the child whose subtree is largest, recounting every
+    child's subtree by flood fill at every step; ties go to the larger label.
+    The spine is cut at interior sites of degree >= 3 into
+    (head, consumed sites, terminal) segments.
+    """
+    nbrs = {v: set() for v in g.nodes}
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+
+    def reach(start: int, banned: int) -> int:
+        seen, stack = {banned, start}, [start]
+        while stack:
+            for w in nbrs[stack.pop()] - seen:
+                seen.add(w)
+                stack.append(w)
+        return len(seen) - 1
+
+    prev, cur = None, min(v for v in g.nodes if len(nbrs[v]) == 1)
+    while prev is None or len(nbrs[cur]) < 3:
+        (nxt,) = nbrs[cur] - {prev}
+        prev, cur = cur, nxt
+    spine = [cur]
+    while nbrs[cur] - {prev}:
+        best = max(nbrs[cur] - {prev}, key=lambda c: (reach(c, cur), c))
+        prev, cur = cur, best
+        spine.append(cur)
+    cuts = [0] + [k for k in range(1, len(spine) - 1) if len(nbrs[spine[k]]) >= 3]
+    cuts.append(len(spine) - 1)
+    segments = [(spine[i], tuple(spine[i:j]), spine[j]) for i, j in zip(cuts, cuts[1:])]
+    return spine[-1], segments
