@@ -2,9 +2,9 @@
 
 Two estimators live here.  The Fourier estimator recovers eigenvalues and
 reference-site weights from a uniformly sampled return-amplitude signal:
-candidate peaks are local maxima of the unpadded magnitude spectrum, then
-each is refined by three-point quadratic interpolation of the log magnitude
-on a zero-padded spectrum, which pushes the frequency and height bias well
+the strongest local maxima of the unpadded magnitude spectrum are the peaks,
+each refined by three-point quadratic interpolation of the log magnitude at
+its highest zero-padded bin, which pushes the frequency and height bias well
 below the raw bin width.  The decay extrapolator fits a straight line to
 log amplitudes over time, per site and eigenstate, and reads the time-zero
 modulus off the intercept.
@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import FewerPeaksError, InputError
 from .measurement import DecaySeries, Provenance, SpectralMeasurement, TimeSignal
+from .measurement import _uniform_step
 
 _WINDOWS = ("rect", "hann")
 
@@ -38,23 +39,11 @@ class SpectrumEstimate:
         )
 
 
-def _uniform_step(times: np.ndarray) -> float:
-    steps = np.diff(times)
-    dt = float(steps[0])
-    if dt <= 0 or np.any(np.abs(steps - dt) > 1e-9 * dt):
-        raise InputError("signal must be sampled on a uniform increasing time grid")
-    return dt
-
-
-def _refine_peak(log_mag: np.ndarray, k: int) -> tuple[float, float]:
-    """Quadratic fit through three log-magnitude bins around a maximum.
+def _refine_peak(alpha: float, beta: float, gamma: float) -> tuple[float, float]:
+    """Quadratic fit through a maximum's log magnitude beta and its neighbours'.
 
     Returns the sub-bin offset in (-1, 1) and the interpolated log height.
     """
-    m = len(log_mag)
-    alpha = log_mag[(k - 1) % m]
-    beta = log_mag[k]
-    gamma = log_mag[(k + 1) % m]
     denom = alpha - 2.0 * beta + gamma
     if denom >= 0:
         # flat or concave-up triple; keep the bin itself
@@ -72,9 +61,11 @@ def estimate_spectrum_fft(
 ) -> SpectrumEstimate:
     """Pick the ``n_peaks`` strongest spectral lines of a return signal.
 
-    Candidates are strict local maxima of the unpadded spectrum, kept only
-    if they sit at least two bins from a stronger candidate; refinement
-    happens on a spectrum zero-padded by ``pad_factor``.  Raises
+    The signal must be sampled on a uniform grid.  Peaks are the strongest
+    strict local maxima of the unpadded spectrum (no two of them are
+    adjacent bins); each is refined at the highest bin within
+    ``pad_factor`` bins of it on a spectrum zero-padded by ``pad_factor``,
+    from the log magnitudes of that bin and its two neighbours.  Raises
     FewerPeaksError (carrying what was found) when the signal does not show
     enough distinct maxima.
     """
@@ -98,23 +89,12 @@ def estimate_spectrum_fft(
     tapered = signal.values * win
 
     mag = np.abs(np.fft.fft(tapered))
-    left = np.roll(mag, 1)
-    right = np.roll(mag, -1)
-    candidates = np.nonzero((mag > left) & (mag > right))[0]
-    ranked = candidates[np.argsort(mag[candidates])[::-1]]
-    kept: list[int] = []
-    for k in ranked:
-        near = any(
-            min((k - other) % m, (other - k) % m) < 2 for other in kept
-        )
-        if not near:
-            kept.append(int(k))
-    kept = kept[:n_peaks]
+    candidates = np.nonzero((mag > np.roll(mag, 1)) & (mag > np.roll(mag, -1)))[0]
+    kept = candidates[np.argsort(mag[candidates])[::-1]][:n_peaks]
 
-    padded = np.abs(np.fft.fft(tapered, n=pad_factor * m))
+    padded = np.fft.fft(tapered, n=pad_factor * m)
     mp = len(padded)
-    with np.errstate(divide="ignore"):
-        log_padded = np.log(padded)
+    offsets = np.arange(-pad_factor, pad_factor + 1)
 
     energies = []
     weights = []
@@ -122,11 +102,11 @@ def estimate_spectrum_fft(
     nyquist = np.pi / dt
     resolution = 2.0 * np.pi / (m * dt)
     for k0 in kept:
-        center = k0 * pad_factor
-        offsets = np.arange(-pad_factor, pad_factor + 1)
-        windowed = (center + offsets) % mp
-        k_star = int(windowed[np.argmax(padded[windowed])])
-        delta, log_height = _refine_peak(log_padded, k_star)
+        windowed = (k0 * pad_factor + offsets) % mp
+        k_star = int(windowed[np.argmax(np.abs(padded[windowed]))])
+        triple = np.abs(padded.take([k_star - 1, k_star, k_star + 1], mode="wrap"))
+        with np.errstate(divide="ignore"):
+            delta, log_height = _refine_peak(*np.log(triple))
         omega = 2.0 * np.pi * (k_star + delta) / (mp * dt)
         if omega > nyquist:
             omega -= 2.0 * nyquist

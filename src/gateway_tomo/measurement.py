@@ -5,8 +5,8 @@ site, the modulus of every eigenstate amplitude at that site.  Records can
 come from exact simulation, from finite projective-measurement statistics
 (multinomial shots over eigenstates), or from extrapolating exponentially
 decaying amplitude series back to time zero.  This module also simulates
-the complex return amplitude at the reference site, the raw signal the
-spectrum estimator consumes.
+the complex return amplitude at the reference site on a uniform time grid,
+the raw signal the spectrum estimator consumes.
 """
 
 from __future__ import annotations
@@ -340,7 +340,7 @@ def measure_decaying(
     if noise < 0:
         raise InputError("noise level must be nonnegative")
     nodes = tuple(sorted(nodes))
-    times = np.asarray(tuple(times), dtype=float)
+    times = _time_array(times)
     rates = np.asarray(model.rates)
     envelope = np.exp(-0.5 * np.outer(times, rates))
     blocks = []
@@ -352,6 +352,19 @@ def measure_decaying(
         rng = np.random.default_rng(seed)
         amps = amps * np.exp(rng.normal(0.0, noise, size=amps.shape))
     return DecaySeries(nodes, eig.eigenvalues.copy(), times, amps)
+
+
+def _time_array(times: Iterable[float]) -> np.ndarray:
+    # a tuple of an array would box every sample; generators must be read once
+    return np.asarray(times if isinstance(times, np.ndarray) else tuple(times), float)
+
+
+def _uniform_step(times: np.ndarray) -> float:
+    steps = np.diff(times)
+    dt = float(steps[0])
+    if dt <= 0 or np.any(np.abs(steps - dt) > 1e-9 * dt):
+        raise InputError("signal must be sampled on a uniform increasing time grid")
+    return dt
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,11 +415,20 @@ def return_amplitude(
     """Survival amplitude at the reference site: sum of w_j e^(-i E_j t).
 
     The weights w_j are the squared reference amplitudes, so the signal is
-    independent of eigenvector sign conventions.
+    independent of eigenvector sign conventions.  The m samples must lie on
+    a uniform grid of step dt; blocked angle addition then needs 2 ceil(sqrt(m))
+    exponentials per eigenstate, not m: each block of B = ceil(sqrt(m)) samples
+    is phased at its stored start time and advanced by multiples of dt, so
+    jitter that passes the uniformity check drifts by at most B steps' worth.
     """
-    times = np.asarray(tuple(times), dtype=float)
-    if times.ndim != 1 or times.size == 0:
+    times = _time_array(times)
+    m = times.size
+    if times.ndim != 1 or m == 0:
         raise InputError("need at least one sample time")
-    weights = eig.site_amplitudes(reference) ** 2
-    phases = np.exp(-1j * np.outer(times, eig.eigenvalues))
-    return TimeSignal(times, phases @ weights)
+    dt = _uniform_step(times) if m > 1 else 0.0
+    block = math.isqrt(m - 1) + 1
+    energies = eig.eigenvalues
+    coarse = np.exp(-1j * np.outer(times[::block], energies))
+    coarse *= eig.site_amplitudes(reference) ** 2
+    fine = np.exp(-1j * np.outer(np.arange(block) * dt, energies))
+    return TimeSignal(times, (coarse @ fine.T).ravel()[:m])

@@ -22,6 +22,8 @@ from gateway_tomo import (
     measure_exact,
     return_amplitude,
 )
+from conftest import FMO_EDGES
+from util import generic_system, unpruned_spectrum_fft
 
 SQ2 = math.sqrt(2.0)
 
@@ -103,6 +105,56 @@ def test_estimator_input_validation(dimer):
     short = TimeSignal(times[:6], sig.values[:6])
     with pytest.raises(InputError, match="at least"):
         estimate_spectrum_fft(short, 2)
+
+
+def _parity_cases():
+    dimer = fixed_system([(1, 2)], {1: 0.0, 2: 0.0}, {(1, 2): 1.0})
+    trimer = fixed_system(
+        [(1, 2), (2, 3)], {1: 0.0, 2: 0.0, 3: 0.0}, {(1, 2): 1.0, (2, 3): 1.0}
+    )
+    times = np.arange(168) * 0.3
+    yield "dimer-rect", return_amplitude(dimer, 1, times), 2, {}
+    yield "dimer-hann", return_amplitude(dimer, 1, times), 2, {"window": "hann"}
+    yield "dimer-pad1", return_amplitude(dimer, 1, times), 2, {"pad_factor": 1}
+    sig = return_amplitude(trimer, 1, np.arange(120) * 0.3)
+    yield "trimer-hann", sig, 3, {"window": "hann"}
+    rng = np.random.default_rng(11)
+    g = NetworkGraph.from_edges(FMO_EDGES)
+    times = np.arange(8192) * (200.0 / 2047)
+    for i in range(5):
+        _, _, plan, fixed, _ = generic_system(rng, g)
+        sig = return_amplitude(fixed, plan.reference, times)
+        yield f"fmo-{i}", sig, 7, {"window": "hann"}
+    times = np.arange(2048) * 0.3
+    noise = rng.normal(size=2048) + 1j * rng.normal(size=2048)
+    noisy = TimeSignal(times, return_amplitude(dimer, 1, times).values + 0.3 * noise)
+    yield "noisy-2048", noisy, 7, {}
+    times = np.arange(64) * 0.5
+    yield "flat", TimeSignal(times, np.ones_like(times, dtype=complex)), 2, {}
+
+
+def test_estimator_matches_unpruned_algorithm():
+    """Same bits as ranking every maximum against every stronger one and
+    taking abs and log over the whole padded spectrum."""
+    for name, sig, n_peaks, kw in _parity_cases():
+        want, found = unpruned_spectrum_fft(sig, n_peaks, **kw)
+        try:
+            got = estimate_spectrum_fft(sig, n_peaks, **kw)
+        except FewerPeaksError as err:
+            got = err.found
+            assert found < n_peaks, name
+        else:
+            assert found == n_peaks, name
+        assert np.array_equal(got.eigenvalues, want.eigenvalues), name
+        assert np.array_equal(got.weights, want.weights), name
+        assert got.resolution == want.resolution, name
+        assert got.warnings == want.warnings, name
+        if name == "noisy-2048":
+            mag = np.abs(np.fft.fft(sig.values))
+            maxima = np.sum((mag > np.roll(mag, 1)) & (mag > np.roll(mag, -1)))
+            assert maxima >= 300
+        if name == "flat":
+            assert found == 1
 
 
 # ---------------------------------------------------------- extrapolation

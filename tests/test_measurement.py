@@ -29,6 +29,7 @@ from gateway_tomo import (
     signal_from_json,
     signal_to_json,
 )
+from util import direct_return_amplitude, generic_system
 
 
 @pytest.fixture
@@ -159,6 +160,11 @@ def test_decaying_amplitudes_follow_half_rate_envelope(dimer):
     assert series.amplitudes[0, 0, 0] == pytest.approx(r, abs=1e-12)
     assert series.amplitudes[0, 1, 0] == pytest.approx(r * math.exp(-0.1), abs=1e-12)
     assert series.amplitudes[0, 1, 1] == pytest.approx(r * math.exp(-0.5), abs=1e-12)
+    streamed = measure_decaying(
+        dimer, [1], (t for t in (0.0, 100.0)), DecayModel((0.002, 0.01))
+    )
+    np.testing.assert_array_equal(streamed.times, series.times)
+    np.testing.assert_array_equal(streamed.amplitudes, series.amplitudes)
 
 
 def test_decay_noise_is_multiplicative_and_seeded(dimer):
@@ -208,6 +214,36 @@ def test_return_amplitude_dimer_is_cosine(dimer):
     sig = return_amplitude(dimer, 1, times)
     np.testing.assert_allclose(sig.values.real, np.cos(times), atol=1e-12)
     np.testing.assert_allclose(sig.values.imag, 0.0, atol=1e-12)
+    streamed = return_amplitude(dimer, 1, (t for t in times))
+    np.testing.assert_array_equal(streamed.times, sig.times)
+    np.testing.assert_array_equal(streamed.values, sig.values)
+    with pytest.raises(InputError, match="uniform"):
+        return_amplitude(dimer, 1, [0.0, 1.0, 3.0])
+    with pytest.raises(InputError, match="uniform"):
+        return_amplitude(dimer, 1, [2.0, 1.0, 0.0])
+    with pytest.raises(InputError):
+        return_amplitude(dimer, 1, [])
+
+
+@pytest.mark.parametrize(
+    "times",
+    [
+        np.arange(8192) * (200.0 / 2047),
+        np.linspace(5.0, 45.0, 1000),
+        np.linspace(-3.0, 7.0, 333),
+        np.array([2.5]),
+        np.arange(2) * 0.7,
+        np.arange(25) * 0.3 + 1.0,
+        np.arange(8191) * 0.05,
+    ],
+    ids=["fmo-8192", "linspace-1000", "linspace-333", "m1", "m2", "m25", "m8191"],
+)
+def test_return_amplitude_matches_direct_sum(fmo_graph, times):
+    _, _, plan, fixed, _ = generic_system(np.random.default_rng(5), fmo_graph)
+    sig = return_amplitude(fixed, plan.reference, times)
+    np.testing.assert_array_equal(sig.times, times)
+    direct = direct_return_amplitude(fixed, plan.reference, times)
+    np.testing.assert_allclose(sig.values, direct, rtol=0, atol=1e-12)
 
 
 def test_signal_json_roundtrip():
