@@ -7,7 +7,7 @@ simulate-and-reconstruct roundtrip.  Every subcommand prints a short human
 summary to stdout and can write a JSON report with --out.
 
 Exit codes: 0 on success, 1 when a method cannot handle the instance (the
-JSON report then carries the condition flag), 2 on bad input.
+JSON report then carries the condition flag), 2 on any malformed input.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._json import numbers, site_keyed
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import GatewayTomoError, InputError
 from .estimation import estimate_spectrum_fft, extrapolate_t0
@@ -86,9 +87,13 @@ def _write_json(path: str, payload: dict) -> None:
 
 def _parse_shots(text: str) -> int:
     try:
-        return int(float(text))
+        value = float(text)  # so that 1e6 is read as a count
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad shot count {text!r}") from None
+        value = 0.0
+    if not (1 <= value < 2**63 and value.is_integer()):  # numpy's multinomial cap
+        raise argparse.ArgumentTypeError(f"bad shot count {text!r}")
+    return int(value)
+
 
 def _parse_int_list(text: str) -> list[int]:
     try:
@@ -303,13 +308,9 @@ def _cmd_reconstruct(args: argparse.Namespace) -> dict:
     plan = compute_access_plan(g, args.reference, aggressive=args.aggressive_plan)
     known = None
     if args.known_fields:
-        doc = _load_json(args.known_fields)
-        if not isinstance(doc, dict):
-            raise InputError("known fields document must map site labels to values")
-        try:
-            known = {int(k): float(v) for k, v in doc.items()}
-        except (TypeError, ValueError):
-            raise InputError("known fields document must map site labels to values") from None
+        sites, values = site_keyed(_load_json(args.known_fields), "known fields")
+        known = {n: float(numbers(b, f"known field at site {n}", 0))
+                 for n, b in zip(sites, values)}
     result = reconstruct(
         g, plan, meas, tolerances=_tolerances(args), known_fields=known
     )

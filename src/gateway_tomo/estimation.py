@@ -21,6 +21,8 @@ from .measurement import DecaySeries, Provenance, SpectralMeasurement, TimeSigna
 from .measurement import _uniform_step
 
 _WINDOWS = ("rect", "hann")
+_PAD = 8  # zero-padding factor of the refinement spectrum
+_DRIFT_TOL = 0.2  # rms log residual above which a decay fit is flagged
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,18 +55,14 @@ def _refine_peak(alpha: float, beta: float, gamma: float) -> tuple[float, float]
 
 
 def estimate_spectrum_fft(
-    signal: TimeSignal,
-    n_peaks: int,
-    *,
-    window: str = "rect",
-    pad_factor: int = 8,
+    signal: TimeSignal, n_peaks: int, *, window: str = "rect"
 ) -> SpectrumEstimate:
     """Pick the ``n_peaks`` strongest spectral lines of a return signal.
 
     The signal must be sampled on a uniform grid.  Peaks are the strongest
     strict local maxima of the unpadded spectrum (no two of them are
-    adjacent bins); each is refined at the highest bin within
-    ``pad_factor`` bins of it on a spectrum zero-padded by ``pad_factor``,
+    adjacent bins); each is refined at the highest bin within ``_PAD`` (8)
+    bins of it on a spectrum zero-padded ``_PAD``-fold,
     from the log magnitudes of that bin and its two neighbours.  Raises
     FewerPeaksError (carrying what was found) when the signal does not show
     enough distinct maxima.
@@ -73,8 +71,6 @@ def estimate_spectrum_fft(
         raise InputError("need at least one peak to look for")
     if window not in _WINDOWS:
         raise InputError(f"window must be one of {_WINDOWS}, got {window!r}")
-    if pad_factor < 1:
-        raise InputError("pad factor must be at least 1")
     m = len(signal.times)
     needed = max(4 * n_peaks, 8)
     if m < needed:
@@ -92,9 +88,9 @@ def estimate_spectrum_fft(
     candidates = np.nonzero((mag > np.roll(mag, 1)) & (mag > np.roll(mag, -1)))[0]
     kept = candidates[np.argsort(mag[candidates])[::-1]][:n_peaks]
 
-    padded = np.fft.fft(tapered, n=pad_factor * m)
+    padded = np.fft.fft(tapered, n=_PAD * m)
     mp = len(padded)
-    offsets = np.arange(-pad_factor, pad_factor + 1)
+    offsets = np.arange(-_PAD, _PAD + 1)
 
     energies = []
     weights = []
@@ -102,7 +98,7 @@ def estimate_spectrum_fft(
     nyquist = np.pi / dt
     resolution = 2.0 * np.pi / (m * dt)
     for k0 in kept:
-        windowed = (k0 * pad_factor + offsets) % mp
+        windowed = (k0 * _PAD + offsets) % mp
         k_star = int(windowed[np.argmax(np.abs(padded[windowed]))])
         triple = np.abs(padded.take([k_star - 1, k_star, k_star + 1], mode="wrap"))
         with np.errstate(divide="ignore"):
@@ -156,12 +152,12 @@ class ExtrapolationFit:
         )
 
 
-def extrapolate_t0(series: DecaySeries, *, drift_tol: float = 0.2) -> ExtrapolationFit:
+def extrapolate_t0(series: DecaySeries) -> ExtrapolationFit:
     """Extrapolate decaying moduli back to time zero.
 
     Each (site, eigenstate) series is fitted as a straight line in log
     amplitude; the intercept gives the undamped modulus and the slope gives
-    half the decay rate.  Series whose fit residuals exceed ``drift_tol``
+    half the decay rate.  Series whose rms fit residual exceeds ``_DRIFT_TOL``
     in log units are flagged as violating the exponential model.
     """
     amps = series.amplitudes
@@ -181,7 +177,7 @@ def extrapolate_t0(series: DecaySeries, *, drift_tol: float = 0.2) -> Extrapolat
     residuals = targets - design @ coef
     rms = np.sqrt(np.mean(residuals**2, axis=0)).reshape(n_sites, n_states)
     warnings = []
-    bad = np.argwhere(rms > drift_tol)
+    bad = np.argwhere(rms > _DRIFT_TOL)
     for i, j in bad[:5]:
         warnings.append(
             f"site {series.nodes[i]} eigenstate {j} deviates from exponential "

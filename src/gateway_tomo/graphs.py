@@ -8,7 +8,8 @@ order branch segments are peeled, and which sites are left over as
 consistency checks.
 
 Everything here is pure bookkeeping on the graph; no spectral data is
-touched.  Only the standard library is used.
+touched.  Apart from the shared strict-JSON reader, which brings numpy, only
+the standard library is used.
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Mapping
 
+from ._json import strict_object
 from .errors import CapabilityError, InputError, NotEstimableError
 
 Edge = tuple[int, int]
+_SEARCH_CAP = 16  # most sites minimum_infecting_sets will search exhaustively
 
 
 def edge_key(u: int, v: int) -> Edge:
@@ -102,11 +105,10 @@ class NetworkGraph:
         edges: Iterable[tuple[int, int]],
         *,
         signs: Mapping[Edge, int] | None = None,
-        isolated: Iterable[int] = (),
     ) -> "NetworkGraph":
         """Build a graph from an edge list, inferring the node set."""
         edges = tuple(tuple(e) for e in edges)
-        nodes = sorted({n for e in edges for n in e} | set(isolated))
+        nodes = sorted({n for e in edges for n in e})
         return cls(tuple(nodes), edges, signs or {})
 
     @cached_property
@@ -134,30 +136,17 @@ def graph_to_json(g: NetworkGraph) -> dict:
 
 def graph_from_json(data: object) -> NetworkGraph:
     """Parse the strict graph schema: {"nodes": [...], "edges": [{u, v, sign?}]}."""
-    if not isinstance(data, dict):
-        raise InputError("graph document must be a JSON object")
-    unknown = set(data) - {"nodes", "edges"}
-    if unknown:
-        raise InputError(f"unknown graph keys: {sorted(unknown)}")
-    if "nodes" not in data or "edges" not in data:
-        raise InputError('graph document needs "nodes" and "edges"')
-    if not isinstance(data["nodes"], list) or not isinstance(data["edges"], list):
+    doc = strict_object(data, "graph document", ("nodes", "edges"))
+    if not isinstance(doc["nodes"], list) or not isinstance(doc["edges"], list):
         raise InputError('"nodes" and "edges" must be arrays')
-    edges = []
-    signs = {}
-    for item in data["edges"]:
-        if not isinstance(item, dict):
-            raise InputError(f"edge entries must be objects, got {item!r}")
-        bad = set(item) - {"u", "v", "sign"}
-        if bad:
-            raise InputError(f"unknown edge keys: {sorted(bad)}")
-        if "u" not in item or "v" not in item:
-            raise InputError(f'edge entry {item!r} needs "u" and "v"')
+    edges, signs = [], {}
+    for i, item in enumerate(doc["edges"]):
+        item = strict_object(item, f"graph edge {i}", ("u", "v"), ("sign",))
         e = edge_key(_check_site(item["u"]), _check_site(item["v"]))
         edges.append(e)
         if "sign" in item:
             signs[e] = item["sign"]
-    return NetworkGraph(tuple(data["nodes"]), tuple(edges), signs)
+    return NetworkGraph(tuple(doc["nodes"]), tuple(edges), signs)
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +193,16 @@ def is_infecting(g: NetworkGraph, seeds: Iterable[int]) -> bool:
     return len(infection_closure(g, seeds)) == len(g.nodes)
 
 
-def minimum_infecting_sets(
-    g: NetworkGraph, max_nodes: int = 16
-) -> tuple[tuple[int, ...], ...]:
+def minimum_infecting_sets(g: NetworkGraph) -> tuple[tuple[int, ...], ...]:
     """All infecting sets of minimum size, in lexicographic order.
 
-    Exhaustive search; refuses graphs with more than ``max_nodes`` sites.
+    Exhaustive search; refuses graphs with more than ``_SEARCH_CAP`` sites.
     """
     n = len(g.nodes)
-    if n > max_nodes:
+    if n > _SEARCH_CAP:
         raise CapabilityError(
             f"exhaustive infecting-set search over {n} sites exceeds the "
-            f"{max_nodes}-site cap"
+            f"{_SEARCH_CAP}-site cap"
         )
     for size in range(1, n + 1):
         hits = [

@@ -17,6 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
+from ._json import numbers, site_keyed, strict_object
 from .errors import InputError
 from .spectral import EigenSystem
 
@@ -44,7 +45,11 @@ class Provenance:
                 f"provenance kind must be one of {_KINDS}, got {self.kind!r}"
             )
         if self.kind == "shots":
-            if self.shots is None or self.shots < 1:
+            try:  # sqrt(count) < 1 iff count < 1; text, null and huge ints have no root
+                bad = math.sqrt(self.shots) < 1
+            except (TypeError, ValueError, OverflowError):
+                bad = True
+            if bad:
                 raise InputError("shot provenance needs a positive shot count")
         elif self.shots is not None:
             raise InputError(f"{self.kind!r} provenance does not take a shot count")
@@ -72,19 +77,13 @@ def _provenance_to_json(p: Provenance) -> dict:
 
 
 def _provenance_from_json(data: object) -> Provenance:
-    if not isinstance(data, dict):
-        raise InputError("provenance must be a JSON object")
-    unknown = set(data) - {"kind", "count", "seed", "times"}
-    if unknown:
-        raise InputError(f"unknown provenance keys: {sorted(unknown)}")
-    if "kind" not in data:
-        raise InputError('provenance needs a "kind"')
-    times = data.get("times")
+    doc = strict_object(data, "provenance", ("kind",), ("count", "seed", "times"))
+    times = doc.get("times")
     return Provenance(
-        data["kind"],
-        shots=data.get("count"),
-        seed=data.get("seed"),
-        times=tuple(times) if times is not None else None,
+        doc["kind"],
+        shots=doc.get("count"),
+        seed=doc.get("seed"),
+        times=None if times is None else tuple(numbers(times, 'provenance "times"', 1)),
     )
 
 
@@ -150,40 +149,28 @@ def measurement_to_json(m: SpectralMeasurement) -> dict:
 
 
 def measurement_from_json(data: object) -> SpectralMeasurement:
-    if not isinstance(data, dict):
-        raise InputError("measurement document must be a JSON object")
-    unknown = set(data) - {"provenance", "eigenvalues", "moduli"}
-    if unknown:
-        raise InputError(f"unknown measurement keys: {sorted(unknown)}")
-    for key in ("provenance", "eigenvalues", "moduli"):
-        if key not in data:
-            raise InputError(f'measurement document needs "{key}"')
-    if not isinstance(data["moduli"], dict):
-        raise InputError('"moduli" must map site labels to modulus lists')
-    nodes = []
-    rows = []
-    for key, row in data["moduli"].items():
-        try:
-            nodes.append(int(key))
-        except ValueError:
-            raise InputError(f"moduli key {key!r} is not a site label") from None
-        rows.append(row)
-    order = np.argsort(nodes)
+    keys = ("provenance", "eigenvalues", "moduli")
+    doc = strict_object(data, "measurement document", keys)
+    sites, rows = site_keyed(doc["moduli"], 'measurement "moduli"')
     return SpectralMeasurement(
-        tuple(nodes[i] for i in order),
-        np.asarray(data["eigenvalues"], dtype=float),
-        np.asarray([rows[i] for i in order], dtype=float),
-        _provenance_from_json(data["provenance"]),
+        sites,
+        numbers(doc["eigenvalues"], 'measurement "eigenvalues"'),
+        numbers(rows, 'measurement "moduli"'),
+        _provenance_from_json(doc["provenance"]),
     )
 
 
-def measure_exact(eig: EigenSystem, nodes: Iterable[int]) -> SpectralMeasurement:
-    """Read off exact amplitude moduli at the given sites."""
+def _measured_sites(eig: EigenSystem, nodes: Iterable[int]) -> tuple[int, ...]:
     if eig.gauge_reference is None:
         raise InputError(
             "gauge-fix the eigensystem against a reference site before measuring"
         )
-    nodes = tuple(sorted(nodes))
+    return tuple(sorted(nodes))
+
+
+def measure_exact(eig: EigenSystem, nodes: Iterable[int]) -> SpectralMeasurement:
+    """Read off exact amplitude moduli at the given sites."""
+    nodes = _measured_sites(eig, nodes)
     rows = np.stack([np.abs(eig.site_amplitudes(n)) for n in nodes])
     return SpectralMeasurement(
         nodes, eig.eigenvalues.copy(), rows, Provenance("exact")
@@ -200,13 +187,9 @@ def measure_shots(
     modulus squares, and the estimated modulus is the square root of the
     observed frequency.
     """
-    if eig.gauge_reference is None:
-        raise InputError(
-            "gauge-fix the eigensystem against a reference site before measuring"
-        )
+    nodes = _measured_sites(eig, nodes)
     if shots < 1:
         raise InputError("shot count must be positive")
-    nodes = tuple(sorted(nodes))
     rng = np.random.default_rng(seed)
     rows = []
     for n in nodes:
@@ -257,7 +240,7 @@ class DecaySeries:
         object.__setattr__(self, "amplitudes", amps)
         if times.ndim != 1 or len(times) < 2:
             raise InputError("a decay series needs at least two sample times")
-        if np.any(np.diff(times) <= 0) or times[0] < 0:
+        if np.any(np.diff(times) <= 0) or times[0] < 0 or not np.isfinite(times).all():
             raise InputError("sample times must be nonnegative and increasing")
         if amps.shape != (len(self.nodes), len(times), len(vals)):
             raise InputError(
@@ -287,30 +270,14 @@ def decay_series_to_json(series: DecaySeries) -> dict:
 
 
 def decay_series_from_json(data: object) -> DecaySeries:
-    if not isinstance(data, dict):
-        raise InputError("decay series document must be a JSON object")
-    unknown = set(data) - {"eigenvalues", "times", "amplitudes"}
-    if unknown:
-        raise InputError(f"unknown decay series keys: {sorted(unknown)}")
-    for key in ("eigenvalues", "times", "amplitudes"):
-        if key not in data:
-            raise InputError(f'decay series document needs "{key}"')
-    if not isinstance(data["amplitudes"], dict):
-        raise InputError('"amplitudes" must map site labels to time blocks')
-    nodes = []
-    blocks = []
-    for key, block in data["amplitudes"].items():
-        try:
-            nodes.append(int(key))
-        except ValueError:
-            raise InputError(f"amplitude key {key!r} is not a site label") from None
-        blocks.append(block)
-    order = np.argsort(nodes)
+    keys = ("eigenvalues", "times", "amplitudes")
+    doc = strict_object(data, "decay series document", keys)
+    sites, blocks = site_keyed(doc["amplitudes"], 'decay series "amplitudes"')
     return DecaySeries(
-        tuple(nodes[i] for i in order),
-        np.asarray(data["eigenvalues"], dtype=float),
-        np.asarray(data["times"], dtype=float),
-        np.asarray([blocks[i] for i in order], dtype=float),
+        sites,
+        numbers(doc["eigenvalues"], 'decay series "eigenvalues"', 1),
+        numbers(doc["times"], 'decay series "times"'),
+        numbers(blocks, 'decay series "amplitudes"'),
     )
 
 
@@ -329,17 +296,13 @@ def measure_decaying(
     exp(N(0, noise)), matching relative amplitude error of roughly
     ``noise`` for small values.
     """
-    if eig.gauge_reference is None:
-        raise InputError(
-            "gauge-fix the eigensystem against a reference site before measuring"
-        )
+    nodes = _measured_sites(eig, nodes)
     if len(model.rates) != len(eig.eigenvalues):
         raise InputError(
             f"{len(model.rates)} decay rates for {len(eig.eigenvalues)} eigenstates"
         )
     if noise < 0:
         raise InputError("noise level must be nonnegative")
-    nodes = tuple(sorted(nodes))
     times = _time_array(times)
     rates = np.asarray(model.rates)
     envelope = np.exp(-0.5 * np.outer(times, rates))
@@ -394,19 +357,12 @@ def signal_to_json(sig: TimeSignal) -> dict:
 
 
 def signal_from_json(data: object) -> TimeSignal:
-    if not isinstance(data, dict):
-        raise InputError("signal document must be a JSON object")
-    unknown = set(data) - {"times", "real", "imag"}
-    if unknown:
-        raise InputError(f"unknown signal keys: {sorted(unknown)}")
-    for key in ("times", "real", "imag"):
-        if key not in data:
-            raise InputError(f'signal document needs "{key}"')
-    real = np.asarray(data["real"], dtype=float)
-    imag = np.asarray(data["imag"], dtype=float)
+    doc = strict_object(data, "signal document", ("times", "real", "imag"))
+    real = numbers(doc["real"], 'signal "real"')
+    imag = numbers(doc["imag"], 'signal "imag"')
     if real.shape != imag.shape:
         raise InputError("real and imaginary parts differ in length")
-    return TimeSignal(np.asarray(data["times"], dtype=float), real + 1j * imag)
+    return TimeSignal(numbers(doc["times"], 'signal "times"'), real + 1j * imag)
 
 
 def return_amplitude(

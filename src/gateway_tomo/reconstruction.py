@@ -46,7 +46,7 @@ from .errors import (
 )
 from .graphs import AccessPlan, BranchPeel, CyclePlan, Edge, NetworkGraph, edge_key
 from .measurement import SpectralMeasurement
-from .spectral import HamiltonianParams
+from .spectral import HamiltonianParams, params_to_json
 
 REFERENCE_FAMILY = "reference"
 
@@ -465,8 +465,7 @@ def result_to_json(result: ReconstructionResult) -> dict:
             "lstsq_residual": d.lstsq_residual,
         }
     return {
-        "b": {str(n): b for n, b in sorted(result.params.local_fields.items())},
-        "c": {f"{u}-{v}": c for (u, v), c in sorted(result.params.couplings.items())},
+        **params_to_json(result.params),
         "residuals": dict(sorted(result.residuals.items())),
         "flags": list(result.flags),
         "cycle_diagnostics": diag,

@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._json import numbers, site_keyed, strict_object
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DarkStateError, GaugeDegeneracyError, InputError
 from .graphs import Edge, NetworkGraph, edge_key, _check_site
@@ -57,24 +58,12 @@ def params_to_json(params: HamiltonianParams) -> dict:
 
 def params_from_json(data: object) -> HamiltonianParams:
     """Parse the strict parameter schema: {"b": {"1": ...}, "c": {"1-2": ...}}."""
-    if not isinstance(data, dict):
-        raise InputError("parameter document must be a JSON object")
-    unknown = set(data) - {"b", "c"}
-    if unknown:
-        raise InputError(f"unknown parameter keys: {sorted(unknown)}")
-    if "b" not in data or "c" not in data:
-        raise InputError('parameter document needs "b" and "c"')
-    if not isinstance(data["b"], dict) or not isinstance(data["c"], dict):
-        raise InputError('"b" and "c" must be objects')
-    fields = {}
-    for key, val in data["b"].items():
-        try:
-            n = int(key)
-        except ValueError:
-            raise InputError(f"field key {key!r} is not a site label") from None
-        fields[n] = val
+    doc = strict_object(data, "parameter document", ("b", "c"))
+    sites, values = site_keyed(doc["b"], 'parameter "b"')
+    fields = {n: float(numbers(b, f'parameter "b" at site {n}', 0))
+              for n, b in zip(sites, values)}
     coups = {}
-    for key, val in data["c"].items():
+    for key, val in strict_object(doc["c"], 'parameter "c"', (), doc["c"]).items():
         parts = key.split("-")
         if len(parts) != 2:
             raise InputError(f"coupling key {key!r} is not of the form 'u-v'")
@@ -84,7 +73,7 @@ def params_from_json(data: object) -> HamiltonianParams:
             raise InputError(f"coupling key {key!r} is not of the form 'u-v'") from None
         if not u < v:
             raise InputError(f"coupling key {key!r} must list the smaller site first")
-        coups[(u, v)] = val
+        coups[(u, v)] = float(numbers(val, f'parameter "c" at edge {key!r}', 0))
     return HamiltonianParams(fields, coups)
 
 

@@ -243,7 +243,70 @@ def test_bad_inputs_exit_two(path3_files, tmp_path, capsys):
               "--tol", "nope=1"])
         == 2
     )
+    meas = tmp_path / "meas.json"
+    main(["simulate", "--graph", str(graph), "--params", str(params), "--out", str(meas)])
+    known = tmp_path / "known.json"
+    for bad in ([-0.2], {"two": -0.2}, {"2": None}, {"2": "x"}):
+        known.write_text(json.dumps(bad))
+        code = main(["reconstruct", "--graph", str(graph), "--measurement", str(meas),
+                     "--known-fields", str(known)])
+        assert code == 2
     capsys.readouterr()
+
+
+PARAMS = {"b": {"1": 0.3, "2": -0.2, "3": 0.5}, "c": {"1-2": 0.8, "2-3": 1.1}}
+MEAS = {
+    "provenance": {"kind": "exact"},
+    "eigenvalues": [-1.0, 0.0, 1.0],
+    "moduli": {"1": [0.5, 0.5**0.5, 0.5]},
+}
+SERIES = {
+    "eigenvalues": [-1.0, 1.0],
+    "times": [0.0, 1.0],
+    "amplitudes": {"1": [[0.7, 0.7], [0.6, 0.6]]},
+}
+SIGNAL = {"times": [0.0, 1.0], "real": [1.0, 0.5], "imag": [0.0, 0.5]}
+
+# (kind of input, the malformed document or --shots text)
+MALFORMED = {
+    "field-text": ("params", {**PARAMS, "b": {**PARAMS["b"], "1": "x"}}),
+    "field-400-digits": ("params", {**PARAMS, "b": {**PARAMS["b"], "1": 10**400}}),
+    "eigenvalue-text": ("measurement", {**MEAS, "eigenvalues": ["a", 1]}),
+    "moduli-ragged": ("measurement", {**MEAS, "moduli": {"1": [0.5, 0.5], "3": [1.0]}}),
+    "count-text": ("measurement", {**MEAS, "provenance": {"kind": "shots", "count": "5"}}),
+    "times-text": (
+        "measurement", {**MEAS, "provenance": {"kind": "extrapolated", "times": ["a"]}}
+    ),
+    "signal-text": ("signal", {**SIGNAL, "real": [1.0, "x"]}),
+    "amplitudes-ragged": ("series", {**SERIES, "amplitudes": {"1": [[0.7, 0.7], [0.6]]}}),
+    "shots-inf": ("shots", "inf"),
+    "shots-fraction": ("shots", "1.5"),
+    "shots-beyond-int64": ("shots", "1e19"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_input_exits_two_without_traceback(case, path3_files, tmp_path, capsys):
+    graph, params = path3_files
+    kind, bad = MALFORMED[case]
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(bad))
+    argv = {
+        "params": ["roundtrip", "--graph", str(graph), "--params", str(doc)],
+        "measurement": ["reconstruct", "--graph", str(graph), "--measurement", str(doc)],
+        "signal": ["spectrum", "--signal", str(doc), "--n-peaks", "1"],
+        "series": ["extrapolate", "--series", str(doc)],
+        "shots": ["roundtrip", "--graph", str(graph), "--params", str(params),
+                  "--shots", str(bad)],
+    }[kind]
+    try:
+        code = main(argv)
+    except SystemExit as exit_:  # argparse rejects an option value this way
+        code = exit_.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err
 
 
 def test_tolerance_override_changes_behavior(path3_files, tmp_path):

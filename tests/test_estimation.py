@@ -96,8 +96,6 @@ def test_estimator_input_validation(dimer):
         estimate_spectrum_fft(sig, 0)
     with pytest.raises(InputError):
         estimate_spectrum_fft(sig, 2, window="boxcar")
-    with pytest.raises(InputError):
-        estimate_spectrum_fft(sig, 2, pad_factor=0)
     ragged = TimeSignal(np.array([0.0, 0.4, 1.0, 1.4, 2.0, 2.4, 3.0, 3.4]),
                         np.ones(8, dtype=complex))
     with pytest.raises(InputError, match="uniform"):
@@ -115,7 +113,6 @@ def _parity_cases():
     times = np.arange(168) * 0.3
     yield "dimer-rect", return_amplitude(dimer, 1, times), 2, {}
     yield "dimer-hann", return_amplitude(dimer, 1, times), 2, {"window": "hann"}
-    yield "dimer-pad1", return_amplitude(dimer, 1, times), 2, {"pad_factor": 1}
     sig = return_amplitude(trimer, 1, np.arange(120) * 0.3)
     yield "trimer-hann", sig, 3, {"window": "hann"}
     rng = np.random.default_rng(11)

@@ -113,16 +113,24 @@ def test_graph_json_roundtrip(fmo_graph):
 
 def test_graph_json_rejects_unknown_keys():
     doc = graph_to_json(NetworkGraph.from_edges([(1, 2)]))
-    doc["colour"] = "blue"
-    with pytest.raises(InputError):
-        graph_from_json(doc)
+    for bad, match in [
+        ({**doc, "colour": "blue"}, r"graph document has unknown keys \['colour'\]"),
+        ([doc], "graph document must be a JSON object"),
+        ({"nodes": [1, 2]}, 'graph document needs "edges"'),
+    ]:
+        with pytest.raises(InputError, match=match):
+            graph_from_json(bad)
 
 
 def test_graph_json_rejects_malformed_edge():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match='graph edge 0 needs "v"'):
         graph_from_json({"nodes": [1, 2], "edges": [{"u": 1}]})
     with pytest.raises(InputError):
         graph_from_json({"nodes": [1, 2], "edges": [{"u": 1, "v": 2, "sign": 2}]})
+    with pytest.raises(InputError, match="graph edge 0 must be a JSON object"):
+        graph_from_json({"nodes": [1, 2], "edges": [[1, 2]]})
+    with pytest.raises(InputError, match="graph edge 0 has unknown keys"):
+        graph_from_json({"nodes": [1, 2], "edges": [{"u": 1, "v": 2, "w": 1.0}]})
 
 
 # -------------------------------------------------------------- infection

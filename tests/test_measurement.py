@@ -53,6 +53,10 @@ def test_provenance_validation():
         Provenance("guess")
     with pytest.raises(InputError):
         Provenance("shots")
+    for count in ("5", None, [5], 10**400, 0.5):
+        with pytest.raises(InputError, match="positive shot count"):
+            Provenance("shots", shots=count)
+    assert Provenance("shots", shots=2.5).shots == 2.5
     with pytest.raises(InputError):
         Provenance("exact", shots=100)
 
@@ -135,13 +139,30 @@ def test_measurement_json_roundtrip(dimer):
     assert again.nodes == meas.nodes
     np.testing.assert_allclose(again.moduli, meas.moduli, atol=1e-12)
     assert again.provenance == meas.provenance
+    doc["moduli"] = dict(reversed(doc["moduli"].items()))
+    shuffled = measurement_from_json(doc)
+    assert shuffled.nodes == (1, 2)
+    assert np.array_equal(shuffled.moduli, again.moduli)
 
 
 def test_measurement_json_rejects_unknown_keys(dimer):
     doc = measurement_to_json(measure_exact(dimer, [1]))
-    doc["note"] = "hello"
-    with pytest.raises(InputError):
-        measurement_from_json(doc)
+    moduli = doc.pop("moduli")
+    prov = {"kind": "extrapolated"}
+    for bad, match in [
+        ({**doc, "moduli": moduli, "note": "hello"}, "measurement document has unknown"),
+        ([doc], "measurement document must be a JSON object"),
+        (doc, 'measurement document needs "moduli"'),
+        ({**doc, "moduli": [1.0]}, 'measurement "moduli" must be a JSON object'),
+        ({**doc, "moduli": {"one": [1.0]}}, "key 'one' is not a site label"),
+        ({**doc, "moduli": moduli, "provenance": "exact"}, "provenance must be a JSON"),
+        ({**doc, "moduli": moduli, "provenance": {}}, 'provenance needs "kind"'),
+        ({**doc, "moduli": moduli, "provenance": {**prov, "by": 1}}, "unknown keys"),
+        ({**doc, "moduli": moduli, "provenance": {**prov, "times": 1}}, '"times" must'),
+        ({**doc, "moduli": moduli, "eigenvalues": [None, 1.0]}, '"eigenvalues" must'),
+    ]:
+        with pytest.raises(InputError, match=match):
+            measurement_from_json(bad)
 
 
 # ----------------------------------------------------------------- decay
@@ -195,15 +216,23 @@ def test_decay_series_json_roundtrip(dimer):
     again = decay_series_from_json(doc)
     assert again.nodes == series.nodes
     np.testing.assert_allclose(again.amplitudes, series.amplitudes, atol=1e-12)
-    doc["flavour"] = 1
-    with pytest.raises(InputError):
-        decay_series_from_json(doc)
+    for bad, match in [
+        ({**doc, "flavour": 1}, "decay series document has unknown keys"),
+        ([doc], "decay series document must be a JSON object"),
+        ({**doc, "times": None}, 'decay series "times" must be'),
+        ({**doc, "eigenvalues": 1.0}, 'decay series "eigenvalues" must be a list'),
+        ({k: v for k, v in doc.items() if k != "times"}, 'needs "times"'),
+        ({**doc, "amplitudes": {"1": [[0.5]], "x": [[0.5]]}}, "'x' is not a site label"),
+    ]:
+        with pytest.raises(InputError, match=match):
+            decay_series_from_json(bad)
 
 
 def test_decay_series_needs_increasing_times(dimer):
     series = measure_decaying(dimer, [1], [0.0, 1.0], DecayModel((0.0, 0.0)))
-    with pytest.raises(InputError):
-        DecaySeries(series.nodes, series.eigenvalues, [1.0, 0.5], series.amplitudes)
+    for times in ([1.0, 0.5], [0.0, np.nan], [0.0, np.inf]):
+        with pytest.raises(InputError, match="nonnegative and increasing"):
+            DecaySeries(series.nodes, series.eigenvalues, times, series.amplitudes)
 
 
 # --------------------------------------------------------------- signals
@@ -251,9 +280,14 @@ def test_signal_json_roundtrip():
     doc = json.loads(json.dumps(signal_to_json(sig)))
     again = signal_from_json(doc)
     np.testing.assert_allclose(again.values, sig.values, atol=1e-15)
-    doc["units"] = "fs"
-    with pytest.raises(InputError):
-        signal_from_json(doc)
+    for bad, match in [
+        ({**doc, "units": "fs"}, "signal document has unknown keys"),
+        ([doc], "signal document must be a JSON object"),
+        ({"times": doc["times"], "real": doc["real"]}, 'signal document needs "imag"'),
+        ({**doc, "imag": [0.5, [0.5]]}, 'signal "imag" must be a rectangular array'),
+    ]:
+        with pytest.raises(InputError, match=match):
+            signal_from_json(bad)
 
 
 def test_signal_validation():

@@ -84,8 +84,17 @@ def test_params_json_roundtrip():
 
 
 def test_params_json_rejects_unknown_keys():
-    with pytest.raises(InputError):
-        params_from_json({"b": {"1": 0.0}, "c": {}, "d": {}})
+    for bad, match in [
+        ({"b": {"1": 0.0}, "c": {}, "d": {}}, "parameter document has unknown keys"),
+        ([{"b": {}, "c": {}}], "parameter document must be a JSON object"),
+        ({"b": {"1": 0.0}}, 'parameter document needs "c"'),
+        ({"b": [0.0], "c": {}}, 'parameter "b" must be a JSON object'),
+        ({"b": {"1": 0.0}, "c": [1.0]}, 'parameter "c" must be a JSON object'),
+        ({"b": {"1": None}, "c": {}}, 'parameter "b" at site 1 must be a number'),
+        ({"b": {"1": [0.0]}, "c": {}}, 'parameter "b" at site 1 must be a number'),
+    ]:
+        with pytest.raises(InputError, match=match):
+            params_from_json(bad)
 
 
 def test_params_json_rejects_reversed_edge_key():

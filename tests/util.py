@@ -301,7 +301,7 @@ def direct_return_amplitude(eig, reference: int, times) -> np.ndarray:
 
 
 def unpruned_spectrum_fft(
-    signal: TimeSignal, n_peaks: int, *, window: str = "rect", pad_factor: int = 8
+    signal: TimeSignal, n_peaks: int, *, window: str = "rect"
 ) -> tuple[SpectrumEstimate, int]:
     """Fourier peak estimate that does every step in full; (estimate, peaks found).
 
@@ -310,7 +310,7 @@ def unpruned_spectrum_fft(
     taken over the whole zero-padded spectrum before three bins around each
     refined maximum are read.  Raises nothing for too few peaks.
     """
-    m = len(signal.times)
+    m, pad_factor = len(signal.times), 8
     dt = float(signal.times[1] - signal.times[0])
     win = np.hanning(m) if window == "hann" else np.ones(m)
     tapered = signal.values * win
