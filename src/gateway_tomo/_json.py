@@ -29,14 +29,17 @@ def strict_object(data: object, what: str, required: tuple, optional=()) -> dict
 
 def site_keyed(data: object, what: str) -> tuple[tuple[int, ...], list]:
     """Labels and values of a {"<site>": ...} object, ascending by label."""
-    pairs = []
+    by_site = {}
     for key, value in strict_object(data, what, (), data).items():  # any key
         try:
-            pairs.append((int(key), value))
+            n = int(key)
         except ValueError:
             raise InputError(f"{what} key {key!r} is not a site label") from None
-    pairs.sort(key=lambda pair: pair[0])
-    return tuple(n for n, _ in pairs), [v for _, v in pairs]
+        if n in by_site:  # "1" and "01" name one site
+            raise InputError(f"{what} names site {n} more than once")
+        by_site[n] = value
+    sites = tuple(sorted(by_site))
+    return sites, [by_site[n] for n in sites]
 
 
 def numbers(value: object, what: str, ndim: int | None = None) -> np.ndarray:

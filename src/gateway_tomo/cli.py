@@ -29,16 +29,17 @@ from .estimation import estimate_spectrum_fft, extrapolate_t0
 from .graphs import (
     AccessPlan,
     NetworkGraph,
-    _estimability,
     classify_topology,
     compute_access_plan,
     graph_from_json,
     infection_closure,
+    is_estimable,
 )
 from .measurement import (
     DecayModel,
     decay_series_from_json,
     decay_series_to_json,
+    is_shot_count,
     measure_decaying,
     measure_exact,
     measure_shots,
@@ -90,7 +91,7 @@ def _parse_shots(text: str) -> int:
         value = float(text)  # so that 1e6 is read as a count
     except ValueError:
         value = 0.0
-    if not (1 <= value < 2**63 and value.is_integer()):  # numpy's multinomial cap
+    if not is_shot_count(value):
         raise argparse.ArgumentTypeError(f"bad shot count {text!r}")
     return int(value)
 
@@ -191,7 +192,7 @@ def _prepared_system(args: argparse.Namespace, g: NetworkGraph):
 def _cmd_classify(args: argparse.Namespace) -> dict:
     g = _load_graph(args)
     topo = classify_topology(g)
-    ok, reason = _estimability(topo)
+    ok, reason = is_estimable(g)
     print(f"topology: {topo.kind.value}")
     if topo.cycle:
         print("cycle: " + "-".join(str(n) for n in topo.cycle))

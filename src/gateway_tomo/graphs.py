@@ -123,6 +123,20 @@ class NetworkGraph:
     def sign_of(self) -> dict[Edge, int]:
         return dict(zip(self.edges, self.signs))
 
+    @cached_property
+    def topology(self) -> TopologyClass:
+        if not _is_connected(self):
+            return TopologyClass(TopologyKind.DISCONNECTED)
+        excess = len(self.edges) - len(self.nodes) + 1
+        if excess == 0:
+            max_deg = max(map(len, self.adjacency.values()))
+            kind = TopologyKind.PATH if max_deg <= 2 else TopologyKind.TREE
+            return TopologyClass(kind, excess=0)
+        if excess == 1:
+            cycle = _ordered_cycle(self, _two_core(self))
+            return TopologyClass(TopologyKind.UNICYCLIC, cycle=cycle, excess=1)
+        return TopologyClass(TopologyKind.MULTI_CYCLE, excess=excess)
+
     def degree(self, n: int) -> int:
         return len(self.adjacency[n])
 
@@ -279,18 +293,8 @@ def _ordered_cycle(g: NetworkGraph, members: set[int]) -> tuple[int, ...]:
 
 
 def classify_topology(g: NetworkGraph) -> TopologyClass:
-    if not _is_connected(g):
-        return TopologyClass(TopologyKind.DISCONNECTED)
-    excess = len(g.edges) - len(g.nodes) + 1
-    if excess == 0:
-        max_deg = max(map(len, g.adjacency.values()))
-        kind = TopologyKind.PATH if max_deg <= 2 else TopologyKind.TREE
-        return TopologyClass(kind, excess=0)
-    if excess == 1:
-        return TopologyClass(
-            TopologyKind.UNICYCLIC, cycle=_ordered_cycle(g, _two_core(g)), excess=1
-        )
-    return TopologyClass(TopologyKind.MULTI_CYCLE, excess=excess)
+    """The class of ``g``, cached as ``g.topology``: decided once per graph."""
+    return g.topology
 
 
 def is_estimable(g: NetworkGraph) -> tuple[bool, str | None]:
@@ -298,15 +302,11 @@ def is_estimable(g: NetworkGraph) -> tuple[bool, str | None]:
 
     Requires a connected graph with no more edges than sites.
     """
-    return _estimability(classify_topology(g))
-
-
-def _estimability(topo: TopologyClass) -> tuple[bool, str | None]:
-    if topo.kind is TopologyKind.DISCONNECTED:
+    if g.topology.kind is TopologyKind.DISCONNECTED:
         return False, "graph is disconnected"
-    if topo.kind is TopologyKind.MULTI_CYCLE:
+    if g.topology.kind is TopologyKind.MULTI_CYCLE:
         return False, (
-            f"more edges than sites (cycle excess {topo.excess}); "
+            f"more edges than sites (cycle excess {g.topology.excess}); "
             "independent loops cannot all be resolved"
         )
     return True, None
@@ -377,7 +377,8 @@ class AccessPlan:
 
         Checks that each site's equation is consumed at most once, that the
         segments and cycle jointly resolve every edge exactly once, and that
-        measured heads are accessed.
+        measured heads are accessed.  ``reconstruct`` runs this on every plan
+        it receives; ``compute_access_plan`` does not re-check its own.
         """
         node_set = set(g.nodes)
         access = set(self.access_set)
@@ -483,12 +484,13 @@ def compute_access_plan(
     site (unicyclic); a pure path needs only its reference end and a pure
     cycle needs every site.  The aggressive variant applies to trees only
     and drops one leaf by consuming branching-site equations along a single
-    descending spine.
+    descending spine.  The plan is valid by construction and not re-checked
+    here: ``reconstruct`` validates every plan it receives, planned or not.
     """
-    topo = classify_topology(g)
-    ok, reason = _estimability(topo)
+    ok, reason = is_estimable(g)
     if not ok:
         raise NotEstimableError(reason)
+    topo = g.topology
     if len(g.nodes) < 2:
         raise InputError("access planning needs at least two sites")
     if reference is not None and reference not in g.adjacency:
@@ -563,7 +565,7 @@ def compute_access_plan(
         attach = tuple(sorted(n for n in cycle if g.degree(n) >= 3))
         cycle_plan = CyclePlan(tuple(topo.cycle), measured_cycle, attach)
 
-    plan = AccessPlan(
+    return AccessPlan(
         reference=ref,
         access_set=tuple(sorted(access)),
         reference_path=tuple(path),
@@ -571,5 +573,3 @@ def compute_access_plan(
         cycle_plan=cycle_plan,
         aggressive=aggressive,
     )
-    plan.validate(g)
-    return plan

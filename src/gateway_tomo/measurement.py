@@ -45,8 +45,8 @@ class Provenance:
                 f"provenance kind must be one of {_KINDS}, got {self.kind!r}"
             )
         if self.kind == "shots":
-            try:  # sqrt(count) < 1 iff count < 1; text, null and huge ints have no root
-                bad = math.sqrt(self.shots) < 1
+            try:  # text, null and huge ints have no root; NaN fails both bounds
+                bad = not 1 <= math.sqrt(self.shots) < math.inf
             except (TypeError, ValueError, OverflowError):
                 bad = True
             if bad:
@@ -177,6 +177,12 @@ def measure_exact(eig: EigenSystem, nodes: Iterable[int]) -> SpectralMeasurement
     )
 
 
+def is_shot_count(count: object) -> bool:
+    """Whether ``count`` is a whole number in [1, 2**63), numpy's multinomial cap."""
+    real = isinstance(count, (int, float, np.integer, np.floating))
+    return real and 1 <= count < 2**63 and float(count).is_integer()
+
+
 def measure_shots(
     eig: EigenSystem, nodes: Iterable[int], shots: int, seed: int | None = None
 ) -> SpectralMeasurement:
@@ -188,8 +194,8 @@ def measure_shots(
     observed frequency.
     """
     nodes = _measured_sites(eig, nodes)
-    if shots < 1:
-        raise InputError("shot count must be positive")
+    if not is_shot_count(shots):
+        raise InputError(f"shot count {shots!r} is not a whole number in [1, 2**63)")
     rng = np.random.default_rng(seed)
     rows = []
     for n in nodes:
@@ -250,13 +256,6 @@ class DecaySeries:
         if not np.all(np.isfinite(amps)):
             raise InputError("amplitudes must be finite")
 
-    def amplitudes_of(self, node: int) -> np.ndarray:
-        try:
-            i = self.nodes.index(node)
-        except ValueError:
-            raise InputError(f"site {node} was not measured") from None
-        return self.amplitudes[i]
-
 
 def decay_series_to_json(series: DecaySeries) -> dict:
     return {
@@ -306,11 +305,7 @@ def measure_decaying(
     times = _time_array(times)
     rates = np.asarray(model.rates)
     envelope = np.exp(-0.5 * np.outer(times, rates))
-    blocks = []
-    for n in nodes:
-        clean = np.abs(eig.site_amplitudes(n))[None, :] * envelope
-        blocks.append(clean)
-    amps = np.stack(blocks)
+    amps = np.stack([np.abs(eig.site_amplitudes(n)) * envelope for n in nodes])
     if noise > 0:
         rng = np.random.default_rng(seed)
         amps = amps * np.exp(rng.normal(0.0, noise, size=amps.shape))

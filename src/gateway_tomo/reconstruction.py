@@ -349,7 +349,7 @@ class CycleDiagnostics:
     lstsq_residual: float
 
 
-def solve_cycle_moments(
+def _solve_cycle_moments(
     g: NetworkGraph,
     plan: CyclePlan,
     table: CoefficientTable,
@@ -512,7 +512,7 @@ def reconstruct(
 
     diagnostics, flags = None, ()
     if plan.cycle_plan is not None:
-        cycle_couplings, diagnostics, flags = solve_cycle_moments(
+        cycle_couplings, diagnostics, flags = _solve_cycle_moments(
             g, plan.cycle_plan, table, meas,
             fields=fields, couplings=couplings, tolerances=tolerances,
         )

@@ -246,12 +246,18 @@ def test_bad_inputs_exit_two(path3_files, tmp_path, capsys):
     meas = tmp_path / "meas.json"
     main(["simulate", "--graph", str(graph), "--params", str(params), "--out", str(meas)])
     known = tmp_path / "known.json"
-    for bad in ([-0.2], {"two": -0.2}, {"2": None}, {"2": "x"}):
+    for bad in ([-0.2], {"two": -0.2}, {"2": None}, {"2": "x"}, {"2": -0.2, "02": 0.1}):
         known.write_text(json.dumps(bad))
         code = main(["reconstruct", "--graph", str(graph), "--measurement", str(meas),
                      "--known-fields", str(known)])
         assert code == 2
-    capsys.readouterr()
+    # a shot count of NaN or infinity would void the normalisation check
+    doc = json.loads(meas.read_text())
+    doc["moduli"] = {n: [8 * x for x in row] for n, row in doc["moduli"].items()}
+    for count in (float("nan"), float("inf")):
+        meas.write_text(json.dumps({**doc, "provenance": {"kind": "shots", "count": count}}))
+        assert main(["reconstruct", "--graph", str(graph), "--measurement", str(meas)]) == 2
+    assert "positive shot count" in capsys.readouterr().err
 
 
 PARAMS = {"b": {"1": 0.3, "2": -0.2, "3": 0.5}, "c": {"1-2": 0.8, "2-3": 1.1}}

@@ -25,6 +25,7 @@ from gateway_tomo import (
     is_infecting,
     minimum_infecting_sets,
 )
+from gateway_tomo import graphs
 from util import (
     brute_minimum_sets,
     closure_mask,
@@ -310,6 +311,18 @@ def test_is_estimable_verdicts(fmo_graph):
     assert "disconnected" in reason
 
 
+def test_topology_is_classified_once_per_graph(monkeypatch):
+    calls = []
+    connected = graphs._is_connected
+    monkeypatch.setattr(graphs, "_is_connected", lambda g: calls.append(g) or connected(g))
+    g = NetworkGraph.from_edges([(1, 2), (2, 3), (3, 4), (3, 5)])
+    assert classify_topology(g).kind is TopologyKind.TREE
+    assert is_estimable(g) == (True, None)
+    compute_access_plan(g)
+    compute_access_plan(g, aggressive=True)
+    assert len(calls) == 1
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(3, 10))
 def test_classifier_agrees_with_networkx(seed, n):
     rng = np.random.default_rng(seed)
@@ -423,27 +436,37 @@ def test_plan_rejects_multi_cycle():
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 12))
 def test_plan_access_is_infecting_on_trees(seed, n):
+    """Plans from every valid reference (any leaf) are coherent: the planner
+    does not check its own output, so this is where that is verified."""
     rng = np.random.default_rng(seed)
     g = NetworkGraph.from_edges(random_tree_edges(rng, n))
+    leaves = [v for v in g.nodes if g.degree(v) == 1]
     for aggressive in (False, True):
-        plan = compute_access_plan(g, aggressive=aggressive)
-        assert isinstance(plan, AccessPlan)
-        assert is_infecting(g, plan.access_set)
-        covered = set(plan.consumed_sites) | set(plan.check_sites(g))
-        assert covered == set(g.nodes)
-        plan.validate(g)
+        for reference in (None, *leaves):
+            plan = compute_access_plan(g, reference, aggressive=aggressive)
+            assert isinstance(plan, AccessPlan)
+            assert plan.reference == (reference or min(leaves))
+            assert is_infecting(g, plan.access_set)
+            covered = set(plan.consumed_sites) | set(plan.check_sites(g))
+            assert covered == set(g.nodes)
+            plan.validate(g)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(4, 12))
 def test_plan_access_is_infecting_on_unicyclic(seed, n):
+    """Plans from every valid reference (any accessed site) are coherent."""
     rng = np.random.default_rng(seed)
     g = NetworkGraph.from_edges(
         random_unicyclic_edges(rng, n, int(rng.integers(3, n + 1)))
     )
-    plan = compute_access_plan(g)
-    assert is_infecting(g, plan.access_set)
-    assert set(plan.cycle_plan.measured) <= set(plan.access_set)
-    plan.validate(g)
+    default = compute_access_plan(g)
+    for reference in default.access_set:
+        plan = compute_access_plan(g, reference)
+        assert plan.reference == reference
+        assert plan.access_set == default.access_set
+        assert is_infecting(g, plan.access_set)
+        assert set(plan.cycle_plan.measured) <= set(plan.access_set)
+        plan.validate(g)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(4, 40), st.booleans())

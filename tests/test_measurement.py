@@ -53,7 +53,7 @@ def test_provenance_validation():
         Provenance("guess")
     with pytest.raises(InputError):
         Provenance("shots")
-    for count in ("5", None, [5], 10**400, 0.5):
+    for count in ("5", None, [5], 10**400, 0.5, float("nan"), float("inf")):
         with pytest.raises(InputError, match="positive shot count"):
             Provenance("shots", shots=count)
     assert Provenance("shots", shots=2.5).shots == 2.5
@@ -127,8 +127,11 @@ def test_shot_sampling_converges(dimer):
 
 
 def test_shot_count_must_be_positive(dimer):
-    with pytest.raises(InputError):
-        measure_shots(dimer, [1], 0)
+    for count in (0, -3, 1.5, 2**63, float("nan"), float("inf"), "5", None):
+        with pytest.raises(InputError, match="not a whole number"):
+            measure_shots(dimer, [1], count)
+    assert measure_shots(dimer, [1], 2**63 - 1, seed=0).provenance.shots == 2**63 - 1
+    assert measure_shots(dimer, [1], 40.0, seed=0).provenance.shots == 40
 
 
 def test_measurement_json_roundtrip(dimer):
@@ -155,6 +158,11 @@ def test_measurement_json_rejects_unknown_keys(dimer):
         (doc, 'measurement document needs "moduli"'),
         ({**doc, "moduli": [1.0]}, 'measurement "moduli" must be a JSON object'),
         ({**doc, "moduli": {"one": [1.0]}}, "key 'one' is not a site label"),
+        ({**doc, "moduli": {"1": [1.0], "01": [1.0]}}, '"moduli" names site 1 more'),
+        ({**doc, "moduli": moduli, "provenance": {"kind": "shots", "count": math.nan}},
+         "positive shot count"),
+        ({**doc, "moduli": moduli, "provenance": {"kind": "shots", "count": math.inf}},
+         "positive shot count"),
         ({**doc, "moduli": moduli, "provenance": "exact"}, "provenance must be a JSON"),
         ({**doc, "moduli": moduli, "provenance": {}}, 'provenance needs "kind"'),
         ({**doc, "moduli": moduli, "provenance": {**prov, "by": 1}}, "unknown keys"),
@@ -223,6 +231,7 @@ def test_decay_series_json_roundtrip(dimer):
         ({**doc, "eigenvalues": 1.0}, 'decay series "eigenvalues" must be a list'),
         ({k: v for k, v in doc.items() if k != "times"}, 'needs "times"'),
         ({**doc, "amplitudes": {"1": [[0.5]], "x": [[0.5]]}}, "'x' is not a site label"),
+        ({**doc, "amplitudes": {"1": [[0.5]], "+1": [[0.5]]}}, "names site 1 more"),
     ]:
         with pytest.raises(InputError, match=match):
             decay_series_from_json(bad)

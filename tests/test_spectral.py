@@ -92,6 +92,7 @@ def test_params_json_rejects_unknown_keys():
         ({"b": {"1": 0.0}, "c": [1.0]}, 'parameter "c" must be a JSON object'),
         ({"b": {"1": None}, "c": {}}, 'parameter "b" at site 1 must be a number'),
         ({"b": {"1": [0.0]}, "c": {}}, 'parameter "b" at site 1 must be a number'),
+        ({"b": {"1": 0.0, "01": 1.0}, "c": {}}, 'parameter "b" names site 1 more than'),
     ]:
         with pytest.raises(InputError, match=match):
             params_from_json(bad)
