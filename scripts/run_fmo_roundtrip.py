@@ -20,6 +20,7 @@ from gateway_tomo import (
     params_from_json,
     reconstruct,
 )
+from gateway_tomo.cli import parse_shots
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,7 +29,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--graph", default=ROOT / "configs" / "fmo_graph.json")
     ap.add_argument("--params", default=ROOT / "configs" / "fmo_params.json")
-    ap.add_argument("--shots", type=lambda s: int(float(s)),
+    ap.add_argument("--shots", type=parse_shots,
                     help="sample this many shots per site instead of exact moduli")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
@@ -42,7 +43,7 @@ def main() -> None:
 
     eig = gauge_fix(eigendecompose(assemble_single_excitation(g, params)),
                     plan.reference)
-    if args.shots:
+    if args.shots is not None:
         meas = measure_shots(eig, plan.access_set, args.shots, args.seed)
         print(f"simulating {args.shots} shots per site (seed {args.seed})")
     else:

@@ -86,7 +86,8 @@ def _write_json(path: str, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _parse_shots(text: str) -> int:
+def parse_shots(text: str) -> int:
+    """A ``--shots`` value: a whole number in [1, 2**63), such as 1e6."""
     try:
         value = float(text)  # so that 1e6 is read as a count
     except ValueError:
@@ -133,9 +134,10 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
         if name not in names:
             raise InputError(f"unknown tolerance {name!r} (have {sorted(names)})")
         try:
-            tol = dataclasses.replace(tol, **{name: float(value)})
+            value = float(value)
         except ValueError:
             raise InputError(f"tolerance {name} needs a number, got {value!r}") from None
+        tol = dataclasses.replace(tol, **{name: value})
     return tol
 
 
@@ -399,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kind", choices=("exact", "shots", "decaying", "signal"), default="exact"
     )
-    p.add_argument("--shots", type=_parse_shots)
+    p.add_argument("--shots", type=parse_shots)
     p.add_argument("--seed", type=int)
     p.add_argument("--times", metavar="START:STOP:COUNT")
     p.add_argument("--gamma", metavar="RATES", help="decay rates, comma separated")
@@ -425,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True)
     p.add_argument("--reference", type=int)
     p.add_argument("--aggressive-plan", action="store_true")
-    p.add_argument("--shots", type=_parse_shots)
+    p.add_argument("--shots", type=parse_shots)
     p.add_argument("--seed", type=int)
 
     return parser

@@ -6,7 +6,9 @@ the cycle solver, so experiments can tighten or loosen thresholds in one place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -38,6 +40,12 @@ class Tolerances:
     coupling_tol: float = 1e-9
     slack_factor: float = 1e-10
     condition_limit: float = 1e10
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not value >= 0:  # NaN would switch its check off unseen
+                raise InputError(f"tolerance {f.name} must be >= 0, got {value!r}")
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -262,7 +262,7 @@ def _is_connected(g: NetworkGraph) -> bool:
 
 
 def _two_core(g: NetworkGraph) -> set[int]:
-    deg = {n: g.degree(n) for n in g.nodes}
+    deg = {n: len(ns) for n, ns in g.adjacency.items()}
     queue = deque(n for n in g.nodes if deg[n] <= 1)
     dead: set[int] = set()
     while queue:
@@ -424,32 +424,6 @@ class AccessPlan:
             )
 
 
-def _walk_segment(
-    g: NetworkGraph,
-    start: int,
-    resolved: set[Edge],
-    anchors: set[int],
-) -> list[int]:
-    """Follow unresolved edges from ``start`` to the next stop site.
-
-    Stops on reaching a branching site (degree >= 3), an anchor, or a dead
-    end; the stop site is included.
-    """
-    seg = [start]
-    cur = start
-    while True:
-        if cur != start and (cur in anchors or g.degree(cur) >= 3):
-            break
-        nxt = [u for u in g.adjacency[cur] if edge_key(cur, u) not in resolved]
-        if not nxt:
-            break
-        assert len(nxt) == 1, f"ambiguous walk at site {cur}"
-        resolved.add(edge_key(cur, nxt[0]))
-        seg.append(nxt[0])
-        cur = nxt[0]
-    return seg
-
-
 def _spine_path(g: NetworkGraph, jstar: int, parent: int) -> list[int]:
     """Descend from a junction into its largest child subtree until a leaf.
 
@@ -484,8 +458,12 @@ def compute_access_plan(
     site (unicyclic); a pure path needs only its reference end and a pure
     cycle needs every site.  The aggressive variant applies to trees only
     and drops one leaf by consuming branching-site equations along a single
-    descending spine.  The plan is valid by construction and not re-checked
-    here: ``reconstruct`` validates every plan it receives, planned or not.
+    descending spine.  Every segment follows the single open edge of its
+    head, closing each edge it crosses, until it reaches a stop site or a
+    dead end.  A branching site that may fire heads a derived segment once
+    exactly one of its edges is still open.  The plan is valid by
+    construction and not re-checked here: ``reconstruct`` validates every
+    plan it receives.
     """
     ok, reason = is_estimable(g)
     if not ok:
@@ -493,13 +471,15 @@ def compute_access_plan(
     topo = g.topology
     if len(g.nodes) < 2:
         raise InputError("access planning needs at least two sites")
-    if reference is not None and reference not in g.adjacency:
+    adj = g.adjacency
+    if reference is not None and reference not in adj:
         raise InputError(f"reference site {reference} is not in the graph")
     if aggressive and topo.kind not in (TopologyKind.PATH, TopologyKind.TREE):
         raise CapabilityError("aggressive planning is only available for trees")
 
     cycle = set(topo.cycle or ())
-    leaves = [n for n in g.nodes if g.degree(n) == 1]
+    leaves = [n for n in g.nodes if len(adj[n]) == 1]
+    hubs = {n for n in g.nodes if len(adj[n]) >= 3}
 
     if topo.kind is TopologyKind.PATH:
         if reference is not None and reference not in leaves:
@@ -514,7 +494,7 @@ def compute_access_plan(
         ref = reference if reference is not None else min(leaves)
         access = set(leaves)
     else:
-        access = set(leaves) | {n for n in cycle if g.degree(n) == 2}
+        access = set(leaves) | (cycle - hubs)
         default = min(leaves) if leaves else min(cycle)
         ref = reference if reference is not None else default
         if ref not in access:
@@ -522,11 +502,17 @@ def compute_access_plan(
                 f"reference {ref} must be an accessed site (one of {sorted(access)})"
             )
 
-    resolved: set[Edge] = set()
-    if ref in cycle:
-        path = [ref]
-    else:
-        path = _walk_segment(g, ref, resolved, cycle)
+    open_ = {n: set(ns) for n, ns in adj.items()}
+
+    def walk(start: int, stops: set[int]) -> list[int]:
+        seg = [start]
+        while open_[seg[-1]] and (len(seg) == 1 or seg[-1] not in stops):
+            nxt = open_[seg[-1]].pop()
+            open_[nxt].discard(seg[-1])
+            seg.append(nxt)
+        return seg
+
+    path = [ref] if ref in cycle else walk(ref, cycle | hubs)
 
     spine: list[int] = []
     if aggressive and topo.kind is TopologyKind.TREE:
@@ -534,36 +520,32 @@ def compute_access_plan(
         access.discard(spine[-1])
 
     anchors = set(path) | cycle | set(spine)
+    stops = anchors | hubs
+    fires = hubs - (cycle if topo.kind is TopologyKind.UNICYCLIC else anchors)
     schedule: list[BranchPeel] = []
-    pending = [n for n in leaves if n in access and n != ref]
-    skip = cycle if topo.kind is TopologyKind.UNICYCLIC else anchors
-    branching = [n for n in g.nodes if g.degree(n) >= 3 and n not in skip]
+    heads = [n for n in leaves if n in access and n != ref]
     measured = True
-    while pending:
-        for head in pending:
-            seg = _walk_segment(g, head, resolved, anchors)
+    while heads:
+        reached = set()
+        for head in heads:
+            seg = walk(head, stops)
             schedule.append(BranchPeel(head, tuple(seg[:-1]), seg[-1], measured))
+            reached.add(seg[-1])
         measured = False
-        # A fired head has no open edge left.
-        pending = [
-            n
-            for n in branching
-            if sum(edge_key(n, u) not in resolved for u in g.adjacency[n]) == 1
-        ]
+        heads = sorted(n for n in reached & fires if len(open_[n]) == 1)
 
-    i = 0
-    while i < len(spine) - 1:
-        j = i + 1
-        while j < len(spine) - 1 and g.degree(spine[j]) < 3:
-            j += 1
-        schedule.append(BranchPeel(spine[i], tuple(spine[i:j]), spine[j], False))
-        i = j
+    if spine:
+        head = spine[0]
+        while open_[head]:
+            seg = walk(head, hubs)
+            schedule.append(BranchPeel(head, tuple(seg[:-1]), seg[-1], False))
+            head = seg[-1]
 
     cycle_plan = None
     if cycle:
-        measured_cycle = tuple(sorted(n for n in cycle if g.degree(n) == 2))
-        attach = tuple(sorted(n for n in cycle if g.degree(n) >= 3))
-        cycle_plan = CyclePlan(tuple(topo.cycle), measured_cycle, attach)
+        cycle_plan = CyclePlan(
+            tuple(topo.cycle), tuple(sorted(cycle - hubs)), tuple(sorted(cycle & hubs))
+        )
 
     return AccessPlan(
         reference=ref,

@@ -49,10 +49,12 @@ class Provenance:
                 bad = not 1 <= math.sqrt(self.shots) < math.inf
             except (TypeError, ValueError, OverflowError):
                 bad = True
-            if bad:
+            if bad or isinstance(self.shots, bool):
                 raise InputError("shot provenance needs a positive shot count")
         elif self.shots is not None:
             raise InputError(f"{self.kind!r} provenance does not take a shot count")
+        if self.seed is not None and not _is_int(self.seed):
+            raise InputError(f"provenance seed {self.seed!r} is not an integer")
         if self.times is not None:
             object.__setattr__(self, "times", tuple(float(t) for t in self.times))
 
@@ -177,9 +179,13 @@ def measure_exact(eig: EigenSystem, nodes: Iterable[int]) -> SpectralMeasurement
     )
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def is_shot_count(count: object) -> bool:
     """Whether ``count`` is a whole number in [1, 2**63), numpy's multinomial cap."""
-    real = isinstance(count, (int, float, np.integer, np.floating))
+    real = _is_int(count) or isinstance(count, (float, np.floating))
     return real and 1 <= count < 2**63 and float(count).is_integer()
 
 
@@ -300,7 +306,7 @@ def measure_decaying(
         raise InputError(
             f"{len(model.rates)} decay rates for {len(eig.eigenvalues)} eigenstates"
         )
-    if noise < 0:
+    if not noise >= 0:  # NaN would switch the noise off unseen
         raise InputError("noise level must be nonnegative")
     times = _time_array(times)
     rates = np.asarray(model.rates)

@@ -73,6 +73,8 @@ def params_from_json(data: object) -> HamiltonianParams:
             raise InputError(f"coupling key {key!r} is not of the form 'u-v'") from None
         if not u < v:
             raise InputError(f"coupling key {key!r} must list the smaller site first")
+        if (u, v) in coups:  # "1-2" and "01-2" name one edge
+            raise InputError(f'parameter "c" names edge ({u}, {v}) more than once')
         coups[(u, v)] = float(numbers(val, f'parameter "c" at edge {key!r}', 0))
     return HamiltonianParams(fields, coups)
 

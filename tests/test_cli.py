@@ -1,9 +1,14 @@
 """Command line surface: exit codes, JSON artifacts, pipeline chaining."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gateway_tomo
 from gateway_tomo import (
     HamiltonianParams,
     NetworkGraph,
@@ -243,6 +248,15 @@ def test_bad_inputs_exit_two(path3_files, tmp_path, capsys):
               "--tol", "nope=1"])
         == 2
     )
+    for tol in ("coupling_tol=nan", "gap_factor=-1"):
+        assert main(["roundtrip", "--graph", str(graph), "--params", str(params),
+                     "--tol", tol]) == 2
+    assert (
+        main(["simulate", "--graph", str(graph), "--params", str(params),
+              "--kind", "decaying", "--times", "0:10:5", "--gamma", "0.1",
+              "--noise", "nan"])
+        == 2
+    )
     meas = tmp_path / "meas.json"
     main(["simulate", "--graph", str(graph), "--params", str(params), "--out", str(meas)])
     known = tmp_path / "known.json"
@@ -323,3 +337,25 @@ def test_tolerance_override_changes_behavior(path3_files, tmp_path):
          "--tol", "coupling_tol=10"]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["run_fmo_roundtrip.py"], 0),
+        (["run_fmo_roundtrip.py", "--shots", "1e4"], 0),
+        (["run_fmo_roundtrip.py", "--shots", "0"], 2),
+        (["shot_noise_sweep.py", "--trials", "2", "--decades", "1"], 0),
+    ],
+    ids=["fmo-exact", "fmo-shots", "fmo-zero-shots", "sweep"],
+)
+def test_scripts_run(argv, code):
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    out = subprocess.run(
+        [sys.executable, str(scripts / argv[0]), *argv[1:]],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(gateway_tomo.__file__).parents[1])},
+    )
+    assert out.returncode == code, out.stderr

@@ -434,6 +434,34 @@ def test_plan_rejects_multi_cycle():
     assert info.value.flag == "NotEstimable"
 
 
+def test_planner_reads_degrees_from_adjacency(monkeypatch, fmo_graph):
+    tree = NetworkGraph.from_edges([(1, 2), (2, 3), (3, 4), (3, 5), (5, 6), (5, 7)])
+    calls = []
+    key, degree = graphs.edge_key, NetworkGraph.degree
+    monkeypatch.setattr(graphs, "edge_key", lambda u, v: calls.append(u) or key(u, v))
+    monkeypatch.setattr(NetworkGraph, "degree", lambda g, n: calls.append(n) or degree(g, n))
+    for g in (tree, fmo_graph):
+        compute_access_plan(g)
+    compute_access_plan(tree, aggressive=True)
+    assert calls == []
+
+
+def assert_schedule_order(g: NetworkGraph, plan: AccessPlan) -> None:
+    """Replay the plan: every derived head has been reached already, by the
+    reference path or an earlier segment, and only the edge its segment
+    walks is still open there."""
+    path = plan.reference_path
+    reached, resolved = set(path), set(map(edge_key, path, path[1:]))
+    for peel in plan.peel_schedule:
+        seg = (*peel.nodes, peel.terminal)
+        if not peel.seeded_by_measurement:
+            assert peel.head in reached
+            around = {edge_key(peel.head, u) for u in g.adjacency[peel.head]}
+            assert around - resolved == {edge_key(*seg[:2])}
+        reached.add(peel.terminal)
+        resolved.update(map(edge_key, seg, seg[1:]))
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(2, 12))
 def test_plan_access_is_infecting_on_trees(seed, n):
     """Plans from every valid reference (any leaf) are coherent: the planner
@@ -450,6 +478,7 @@ def test_plan_access_is_infecting_on_trees(seed, n):
             covered = set(plan.consumed_sites) | set(plan.check_sites(g))
             assert covered == set(g.nodes)
             plan.validate(g)
+            assert_schedule_order(g, plan)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(4, 12))
@@ -467,6 +496,7 @@ def test_plan_access_is_infecting_on_unicyclic(seed, n):
         assert is_infecting(g, plan.access_set)
         assert set(plan.cycle_plan.measured) <= set(plan.access_set)
         plan.validate(g)
+        assert_schedule_order(g, plan)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(4, 40), st.booleans())

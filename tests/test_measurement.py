@@ -53,10 +53,20 @@ def test_provenance_validation():
         Provenance("guess")
     with pytest.raises(InputError):
         Provenance("shots")
-    for count in ("5", None, [5], 10**400, 0.5, float("nan"), float("inf")):
+    for count in ("5", None, [5], 10**400, 0.5, float("nan"), float("inf"), True, False):
         with pytest.raises(InputError, match="positive shot count"):
             Provenance("shots", shots=count)
     assert Provenance("shots", shots=2.5).shots == 2.5
+    for seed in (True, 1.0, "7", [1], {"a": [1]}):
+        with pytest.raises(InputError, match="seed"):
+            Provenance("exact", seed=seed)
+    assert Provenance("shots", shots=9, seed=np.int64(4)).seed == 4
+    assert Provenance("exact", seed=None).seed is None
+    with pytest.raises(InputError, match="positive shot count"):
+        measurement_from_json({
+            "provenance": {"kind": "shots", "count": True},
+            "eigenvalues": [-1, 1], "moduli": {"1": [0.6, 0.8]},
+        })
     with pytest.raises(InputError):
         Provenance("exact", shots=100)
 
@@ -127,7 +137,7 @@ def test_shot_sampling_converges(dimer):
 
 
 def test_shot_count_must_be_positive(dimer):
-    for count in (0, -3, 1.5, 2**63, float("nan"), float("inf"), "5", None):
+    for count in (0, -3, 1.5, 2**63, float("nan"), float("inf"), "5", None, True, False):
         with pytest.raises(InputError, match="not a whole number"):
             measure_shots(dimer, [1], count)
     assert measure_shots(dimer, [1], 2**63 - 1, seed=0).provenance.shots == 2**63 - 1
@@ -210,8 +220,9 @@ def test_decay_noise_is_multiplicative_and_seeded(dimer):
 def test_decay_input_validation(dimer):
     with pytest.raises(InputError, match="rates"):
         measure_decaying(dimer, [1], [0.0, 1.0], DecayModel((0.1,)))
-    with pytest.raises(InputError, match="noise"):
-        measure_decaying(dimer, [1], [0.0, 1.0], DecayModel((0.1, 0.1)), noise=-1)
+    for noise in (-1, float("nan")):
+        with pytest.raises(InputError, match="noise"):
+            measure_decaying(dimer, [1], [0.0, 1.0], DecayModel((0.1, 0.1)), noise=noise)
     with pytest.raises(InputError, match="two sample times"):
         measure_decaying(dimer, [1], [0.0], DecayModel((0.1, 0.1)))
 

@@ -24,6 +24,7 @@ from gateway_tomo import (
     RankDeficientError,
     SignAmbiguityError,
     SpectralMeasurement,
+    Tolerances,
     assemble_single_excitation,
     compute_access_plan,
     eigendecompose,
@@ -125,6 +126,12 @@ def test_near_zero_coupling_raises_instead_of_dividing():
     assert info.value.node == 2
     assert info.value.edge == (2, 3)
     assert info.value.flag == "NearZeroDivision"
+    # a NaN tolerance would switch the guard off; infinity keeps it on
+    for bad in (float("nan"), -1.0):
+        with pytest.raises(InputError, match="coupling_tol"):
+            Tolerances(coupling_tol=bad)
+    with pytest.raises(NearZeroDivisionError):
+        reconstruct(g, plan, meas, tolerances=Tolerances(coupling_tol=math.inf))
 
 
 # ----------------------------------------------------------------- trees
