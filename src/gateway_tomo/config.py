@@ -44,8 +44,12 @@ class Tolerances:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if not value >= 0:  # NaN would switch its check off unseen
-                raise InputError(f"tolerance {f.name} must be >= 0, got {value!r}")
+            try:  # NaN would switch its check off unseen
+                bad = not value >= 0
+            except (TypeError, ValueError):  # text, None, a list or an array
+                bad = True
+            if bad:
+                raise InputError(f"tolerance {f.name} is not a number >= 0: {value!r}")
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -53,8 +53,7 @@ class Provenance:
                 raise InputError("shot provenance needs a positive shot count")
         elif self.shots is not None:
             raise InputError(f"{self.kind!r} provenance does not take a shot count")
-        if self.seed is not None and not _is_int(self.seed):
-            raise InputError(f"provenance seed {self.seed!r} is not an integer")
+        _checked_seed(self.seed)
         if self.times is not None:
             object.__setattr__(self, "times", tuple(float(t) for t in self.times))
 
@@ -183,6 +182,13 @@ def _is_int(value: object) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _checked_seed(seed: object) -> int | None:
+    """``seed`` if it is None or a nonnegative integer, numpy's seed domain."""
+    if seed is not None and not (_is_int(seed) and seed >= 0):
+        raise InputError(f"seed {seed!r} is not a nonnegative integer")
+    return seed
+
+
 def is_shot_count(count: object) -> bool:
     """Whether ``count`` is a whole number in [1, 2**63), numpy's multinomial cap."""
     real = _is_int(count) or isinstance(count, (float, np.floating))
@@ -202,7 +208,7 @@ def measure_shots(
     nodes = _measured_sites(eig, nodes)
     if not is_shot_count(shots):
         raise InputError(f"shot count {shots!r} is not a whole number in [1, 2**63)")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_seed(seed))
     rows = []
     for n in nodes:
         weights = eig.site_amplitudes(n) ** 2
@@ -308,6 +314,7 @@ def measure_decaying(
         )
     if not noise >= 0:  # NaN would switch the noise off unseen
         raise InputError("noise level must be nonnegative")
+    _checked_seed(seed)
     times = _time_array(times)
     rates = np.asarray(model.rates)
     envelope = np.exp(-0.5 * np.outer(times, rates))

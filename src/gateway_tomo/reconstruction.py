@@ -1,29 +1,22 @@
 """Recovering fields and couplings from spectral moduli.
 
-The engine walks the segments of an access plan.  Each segment starts from
-a site whose eigenvector coefficients are known, either measured moduli at
-an accessed leaf or a column derived by earlier segments, and repeatedly
-applies the site sum rule: subtracting the known neighbor terms (graph
-neighbors across resolved edges) from (E_j - b_n) v_j(n) leaves a residual
-vector whose squared norm is the squared coupling to the one unresolved
-neighbor, and dividing by that coupling yields the next eigenvector column.
+Each segment of an access plan starts from a site whose eigenvector column
+is known, measured moduli or a column derived earlier, and applies the site
+sum rule: (E_j - b_n) v_j(n) minus the known neighbor terms leaves a vector
+whose norm is the coupling to the one unresolved neighbor, and dividing by
+it gives that neighbor's column.  Columns seeded from moduli carry a
+per-eigenstate sign, shared by their sign family, that squares never see;
+where two families meet at a site their relative signs are fixed
+componentwise and the families merge.  Each family keeps the running peak
+modulus of its columns, so a merge finds the states it can align in
+O(states).
 
-All columns are rows of one (sites x states) array.  Columns seeded from
-moduli carry an unknown per-eigenstate sign, shared by their sign family,
-that squares never see; where two families meet at a shared site the
-relative signs are resolved componentwise and the families merged.  Each
-family keeps the running per-state peak modulus of its columns, so a merge
-finds the states it can align in O(states).
-
-Consecutive measured segments, the reference path first, start in fresh
-families that never read each other's columns, so they advance in lockstep,
-one (segments x states) array operation per recursion step; the arrivals at
-each terminal are then merged in schedule order against the running peaks,
-exactly as one at a time.  Derived segments are walked alone, and so is a
-run in which a step or merge would fail, so an error names the earliest
-failing segment.  Cycle couplings never appear alone in a sum rule, so
-their squares are solved jointly from second (and, for even cycles, third)
-central moments of the cycle sites.
+One kernel runs every segment, alone or in a block of measured segments
+that never read each other's columns, one (segments x states) array
+operation per recursion step, and then settles the arrivals in schedule
+order, exactly as one at a time.  Cycle couplings never appear alone in a
+sum rule, so their squares are solved jointly from second (and, for even
+cycles, third) central moments of the cycle sites.
 """
 
 from __future__ import annotations
@@ -31,12 +24,13 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
+    GatewayTomoError,
     IllConditionedError,
     InconsistentDataError,
     InputError,
@@ -57,9 +51,7 @@ class CoefficientTable:
     Columns are the rows of ``cols``, in the order their sites were claimed.
     Every tracked site belongs to exactly one family; a family's columns
     share a common (unknown) per-eigenstate sign relative to the true gauge,
-    and ``peak`` holds their per-state maximum modulus.  Merging two
-    families fixes their relative signs using the column both computed for a
-    shared site.
+    and ``peak`` holds their per-state maximum modulus.
     """
 
     def __init__(self, eigenvalues: np.ndarray):
@@ -75,31 +67,11 @@ class CoefficientTable:
     def claim(self, nodes, families, block: np.ndarray) -> None:
         """Store the rows of ``block`` as the columns of unclaimed ``nodes``."""
         start, stop = len(self.row), len(self.row) + len(nodes)
-        if stop > len(self.cols):
-            self.cols = np.concatenate([self.cols[:start], np.empty_like(block)])
         self.cols[start:stop] = block
         self.row.update(zip(nodes, range(start, stop)))
         self.node_family.update(zip(nodes, families))
         for n, family in zip(nodes, families):
-            self.families[family].append(n)
-
-    def seed(self, family: str, node: int, vector: np.ndarray) -> None:
-        if family in self.families:
-            raise InputError(f"family {family!r} already exists")
-        if node in self.node_family:
-            raise InputError(f"site {node} already belongs to a family")
-        self.families[family] = []
-        self.peak[family] = np.abs(vector)
-        self.claim((node,), (family,), vector)
-
-    def add(self, family: str, node: int, vector: np.ndarray) -> None:
-        if node in self.node_family:
-            raise InputError(f"site {node} claimed twice")
-        self.claim((node,), (family,), vector)
-        np.maximum(self.peak[family], np.abs(vector), out=self.peak[family])
-
-    def family_of(self, node: int) -> str | None:
-        return self.node_family.get(node)
+            self.families.setdefault(family, []).append(n)
 
     def vector(self, node: int) -> np.ndarray:
         if node not in self.row:
@@ -113,46 +85,6 @@ class CoefficientTable:
                 raise InputError(f"neighbor {n} is outside family {family!r}")
         return [self.row[n] for n in nodes]
 
-    def log_mismatch(self, shared: int, value: float) -> None:
-        key = f"merge_{shared}"
-        self.mismatch_log[key] = max(self.mismatch_log.get(key, 0.0), value)
-
-    def merge(
-        self, shared: int, incoming: str, vector: np.ndarray, overlap_tol: float
-    ) -> str:
-        """Fold the ``incoming`` family into the one already holding ``shared``.
-
-        ``vector`` is the column the incoming family just derived for the
-        shared site.  Componentwise products of the two columns fix the
-        relative signs; eigenstates in which the incoming family carries no
-        weight at all are sign-free and default to +1.  The disagreement
-        between the two columns, after sign alignment, is recorded in
-        ``mismatch_log``.
-        """
-        holder = self.node_family.get(shared)
-        if holder in (None, incoming) or incoming not in self.families:
-            raise InputError(f"merge at site {shared} needs two distinct families")
-        existing = self.cols[self.row[shared]]
-        alive_inc = np.maximum(self.peak[incoming], np.abs(vector)) > overlap_tol
-        relevant = alive_inc & (self.peak[holder] > overlap_tol)
-        weak = relevant & (
-            (np.abs(vector) <= overlap_tol) | (np.abs(existing) <= overlap_tol)
-        )
-        if np.any(weak):
-            raise SignAmbiguityError(shared, [int(j) for j in np.nonzero(weak)[0]])
-        eps = np.where(relevant, np.sign(vector) * np.sign(existing), 1.0)
-        self.log_mismatch(shared, float(np.max(np.abs(eps * vector - existing))))
-
-        # keep the reference family's frame and name when it is on either side
-        ref = incoming == REFERENCE_FAMILY
-        src, dst = (holder, incoming) if ref else (incoming, holder)
-        moved = self.families.pop(src)
-        self.cols[[self.row[n] for n in moved]] *= eps
-        self.families[dst] += moved
-        self.node_family.update(dict.fromkeys(moved, dst))
-        self.peak[dst] = np.maximum(self.peak[dst], self.peak.pop(src))
-        return dst
-
 
 def _known(g: NetworkGraph, couplings: dict[Edge, float], node: int, skip=()):
     """Neighbors of ``node`` across resolved edges not in ``skip``, with couplings."""
@@ -162,10 +94,9 @@ def _known(g: NetworkGraph, couplings: dict[Edge, float], node: int, skip=()):
 
 def _subtract_known(table: CoefficientTable, known, family: str, r: np.ndarray):
     """``r`` minus the known neighbors' columns, all in ``family``, times couplings."""
-    for u, c in known:
-        if table.node_family.get(u) != family:
-            raise InputError(f"neighbor {u} is outside family {family!r}")
-        r = r - c * table.cols[table.row[u]]
+    rows = table.rows([u for u, _ in known], [family] * len(known))
+    for (_, c), i in zip(known, rows):
+        r = r - c * table.cols[i]
     return r
 
 
@@ -178,162 +109,178 @@ class _Recursion:
         self.fields: dict[int, float] = {}
         self.couplings: dict[Edge, float] = {}
 
-    def walk(self, family: str, peel: BranchPeel) -> None:
-        """Propagate eigenvector columns along one segment on its own.
-
-        A measured segment seeds ``family`` from the head's moduli; a derived
-        one continues in whatever family holds the head column.  Consumes the
-        sum rule of every site in ``peel.nodes`` to extract the coupling
-        toward the following site; the terminal site only receives its column.
-        """
-        g, table, couplings = self.g, self.table, self.couplings
-        if peel.seeded_by_measurement:
-            table.seed(family, peel.head, self.meas.moduli_of(peel.head))
-        elif (family := table.family_of(peel.head)) is None:
-            raise InputError(f"derived segment head {peel.head} has no column yet")
-        eigs, vec = table.eigenvalues, table.vector(peel.head)
-        seq = (*peel.nodes, peel.terminal)
-        for i, cur in enumerate(peel.nodes):
-            b = self.fields[cur] = float((eigs * vec * vec).sum())
-            r = (eigs - b) * vec
-            r = _subtract_known(table, _known(g, couplings, cur), family, r)
-            c_sq = float((r * r).sum())
-            edge = edge_key(cur, seq[i + 1])
-            if c_sq <= self.tolerances.coupling_tol**2:
-                raise NearZeroDivisionError(cur, edge, math.sqrt(max(c_sq, 0.0)))
-            c = couplings[edge] = g.sign_of[edge] * math.sqrt(c_sq)
-            vec = r / c
-            if i + 1 < len(peel.nodes):
-                table.add(family, seq[i + 1], vec)
-
-        if not peel.nodes:
-            return
-        holder = table.family_of(peel.terminal)
-        if holder is None:
-            table.add(family, peel.terminal, vec)
-        elif holder == family:
-            drift = np.abs(vec - table.vector(peel.terminal))
-            table.log_mismatch(peel.terminal, float(np.max(drift)))
-        else:
-            table.merge(peel.terminal, family, vec, self.tolerances.overlap_tol)
-
-    def lockstep(self, batch: list[tuple[str, BranchPeel]]) -> bool:
-        """Run measured segments side by side, one array operation per step.
+    def advance(self, batch: list[tuple[str, BranchPeel]]) -> None:
+        """Run a block of segments, one array operation per recursion step.
 
         ``batch`` lists (family, segment) in schedule order, as `_batches`
-        forms it, so each step's one known neighbor is the site before it.
-        Returns False, with nothing written, when a site the batch reaches
-        already has a column or a step or merge would raise; walking the
-        batch then raises where it should.
+        forms it.  A measured segment seeds ``family`` from its head's moduli,
+        a derived one continues the family holding its head column.  Step 0
+        subtracts every known neighbor of each head, a later site only the
+        one before.  Errors come in the order that running the segments one
+        at a time meets them, and before anything is written.
         """
-        table, tol = self.table, self.tolerances.overlap_tol
-        eigs = table.eigenvalues
+        g, table, couplings = self.g, self.table, self.couplings
+        overlap, floor = self.tolerances.overlap_tol, self.tolerances.coupling_tol**2
+        segs = []
+        for i, (family, peel) in enumerate(batch):
+            if peel.seeded_by_measurement:
+                if peel.head in table.row:
+                    raise InputError(f"site {peel.head} already belongs to a family")
+                col, top = self.meas.moduli_of(peel.head), None
+            elif (family := table.node_family.get(peel.head)) is None:
+                raise InputError(f"derived segment head {peel.head} has no column yet")
+            elif not peel.nodes:
+                continue
+            else:
+                col, top = table.cols[table.row[peel.head]], table.peak[family]
+            # a measured segment without steps arrives at its head at once
+            seq = (*peel.nodes, peel.terminal) if peel.nodes else (peel.head,)
+            segs.append((seq, family, col, top, i))
+        if not segs:
+            return
         # longest segment first, so the segments still running at step k are
-        # the first active[k]; step k fills rows start[k]:start[k + 1]
-        lengths = [len(p.nodes) for _, p in batch]
-        order = sorted(range(len(batch)), key=lengths.__getitem__, reverse=True)
-        seqs = [(*batch[i][1].nodes, batch[i][1].terminal) for i in order]
-        shorter = sorted(-n for n in lengths)
-        active = [bisect.bisect_left(shorter, -k) for k in range(len(seqs[0]) - 1)]
+        # the first active[k]; step k fills rows start[k]:start[k + 1] of
+        # nodes, edges and cols, and segment j arrives in row start[-1] + j
+        segs.sort(key=lambda s: -len(s[0]))
+        seqs, fams, heads, tops, rank = zip(*segs)
+        shorter = [1 - len(s) for s in seqs]
+        active = [bisect.bisect_left(shorter, -k) for k in range(-shorter[0])]
         start = [0, *itertools.accumulate(active)]
         nodes = [s[k] for k, a in enumerate(active) for s in seqs[:a]]
-        if not table.row.keys().isdisjoint([*nodes, *(s[-1] for s in seqs)]):
-            return False
         succ = [s[k + 1] for k, a in enumerate(active) for s in seqs[:a]]
         edges = [(u, v) if u < v else (v, u) for u, v in zip(nodes, succ)]
-        sign = np.array([self.g.sign_of[e] for e in edges], dtype=float)
-        index = {n: i for i, n in enumerate(self.meas.nodes)}
-        cols = np.empty((len(nodes), len(eigs)))
-        cols[: len(seqs)] = self.meas.moduli[[index[s[0]] for s in seqs]]
-        peak = np.abs(cols[: len(seqs)])
-        arrivals = np.empty_like(peak)
-        b, c = np.empty(len(nodes)), np.empty(len(nodes))
+        lead = start[1] if active else 0
+        # the first site a later step would claim although it has a column
+        later = range(lead, len(nodes))
+        taken = next((i for i in later if nodes[i] in table.row), len(nodes))
+        cols = np.empty((len(nodes) + len(seqs), len(table.eigenvalues)))
+        arrivals = cols[len(nodes) :]
+        arrivals[:] = heads
+        cols[:lead], peak = arrivals[:lead], np.abs(arrivals)
+        for j, top in enumerate(tops):
+            if top is not None:
+                peak[j] = top
+        # eigenvalues repeated per segment: numpy multiplies equal shapes faster
+        bs, cs, eigs = [], [], np.tile(table.eigenvalues, (len(seqs), 1))
         for k, a in enumerate(active):
             lo, hi = start[k], start[k + 1]
+            if taken < hi:
+                raise InputError(f"site {nodes[taken]} claimed twice")
             v = cols[lo:hi]
             np.maximum(peak[:a], np.abs(v), out=peak[:a])
-            b[lo:hi] = (eigs * v * v).sum(axis=1)
-            r = (eigs - b[lo:hi, None]) * v
+            b = np.add.reduce(eigs[:a] * v * v, 1)
+            r = (eigs[:a] - b[:, None]) * v
             if k:
-                prev = slice(start[k - 1], start[k - 1] + a)
-                r -= c[prev, None] * cols[prev]
-            c_sq = (r * r).sum(axis=1)
-            if c_sq.min() <= self.tolerances.coupling_tol**2:
-                return False
-            c[lo:hi] = sign[lo:hi] * np.sqrt(c_sq)
-            r /= c[lo:hi, None]
+                r -= c[:a, None] * cols[start[k - 1] : start[k - 1] + a]
+            elif couplings:  # before any coupling no head has a known neighbor
+                for j, (n, f) in enumerate(zip(nodes, fams[:a])):
+                    r[j] = _subtract_known(table, _known(g, couplings, n), f, r[j])
+            c_sq = np.add.reduce(r * r, 1)
+            low = [lo + j for j, x in enumerate(c_sq.tolist()) if x <= floor]
+            if low:
+                value = math.sqrt(max(float(c_sq[low[0] - lo]), 0.0))
+                raise NearZeroDivisionError(nodes[low[0]], edges[low[0]], value)
+            c = np.array([g.sign_of[e] for e in edges[lo:hi]]) * np.sqrt(c_sq)
+            r /= c[:, None]
             going = active[k + 1] if k + 1 < len(active) else 0
-            cols[hi : hi + going] = r[:going]
-            arrivals[going:a] = r[going:]
+            cols[hi : hi + going], arrivals[going:a] = r[:going], r[going:]
+            bs += b.tolist()
+            cs += c.tolist()
 
-        # settle each terminal's arrivals in schedule order: the first claims
-        # the site, later ones merge into its family, which no other terminal
-        # touches, so terminals are independent
-        owner = [batch[i][0] for i in order]
-        at_terminal: dict[int, list[int]] = {}
-        for j in sorted(range(len(order)), key=order.__getitem__):
+        # settle each terminal in schedule order: the family that held it
+        # before the block keeps it, or else the first arrival claims it, and
+        # every other arrival aligns the states that it and the holder, as
+        # grown by the arrivals before it, both carry, then joins the holder
+        at_terminal, hold, logs, moves = {}, {}, {}, []
+        claimed, owner, eps = [False] * len(seqs), list(fams), np.ones_like(arrivals)
+        for j in sorted(range(len(seqs)), key=rank.__getitem__):
             at_terminal.setdefault(seqs[j][-1], []).append(j)
-        eps = np.ones_like(arrivals)
-        peaks, logs = {}, {}
-        for t, (first, *rows) in at_terminal.items():
-            holder, existing = owner[first], arrivals[first]
-            hold = np.maximum(peak[first], np.abs(existing))
-            if rows:
-                arriving, inc = arrivals[rows], peak[rows]
+        for t, js in at_terminal.items():
+            if t in table.row:
+                dst, ex = table.node_family[t], table.vector(t)
+            elif t in seqs[js[0]][:-1]:  # a segment looping back to its own site
+                dst, ex = fams[js[0]], cols[start[seqs[js[0]].index(t)] + js[0]]
+            else:
+                first = js.pop(0)
+                dst, ex, claimed[first] = fams[first], arrivals[first], True
+                hold[dst] = np.maximum(peak[first], np.abs(ex))
+            if js and fams[js[0]] == dst:  # a family meeting itself only drifts
+                logs[t] = float(np.abs(arrivals[js[0]] - ex).max())
+                hold[dst] = peak[js[0]]
+            elif js:
+                arriving, inc, base = arrivals[js], peak[js], hold.get(dst)
+                base = table.peak[dst] if base is None else base
                 mag = np.abs(arriving)
-                relevant = np.maximum(inc, mag) > tol
-                if not np.all(hold > tol):
-                    # arrival i aligns only the states that the holder or an
-                    # earlier arrival carries: whose first live family precedes it
-                    alive = np.vstack([hold, inc, np.full_like(hold, np.inf)]) > tol
-                    relevant &= alive.argmax(axis=0) <= np.arange(len(rows))[:, None]
-                if np.any(relevant & ((mag <= tol) | (np.abs(existing) <= tol))):
-                    return False
-                e = np.where(relevant, np.sign(arriving) * np.sign(existing), 1.0)
-                eps[rows] = e
-                logs[t] = float(np.max(np.abs(e * arriving - existing)))
-                hold = np.maximum(hold, inc.max(axis=0))
-                for j in rows:
-                    owner[j] = holder
-            peaks[holder] = hold
+                relevant = np.maximum(inc, mag) > overlap
+                if not base.min() > overlap:
+                    grown = np.maximum.accumulate(np.vstack([base, inc[:-1]]), axis=0)
+                    relevant &= grown > overlap
+                weak = relevant & ((mag <= overlap) | (np.abs(ex) <= overlap))
+                if weak.any():
+                    i = int(weak.any(axis=1).argmax())
+                    raise SignAmbiguityError(t, np.flatnonzero(weak[i]).tolist())
+                e = eps[js] = np.where(relevant, np.sign(arriving) * np.sign(ex), 1.0)
+                logs[t] = float(np.abs(e * arriving - ex).max())
+                hold[dst] = np.maximum(base, inc.max(axis=0))
+                for i, j in enumerate(js):
+                    src, into = fams[j], dst
+                    if src == REFERENCE_FAMILY:  # the reference keeps its frame, name
+                        src, into, eps[j] = into, src, 1.0
+                        hold[into] = hold.pop(src)
+                    else:
+                        owner[j] = into
+                        hold.pop(src, None)
+                    if src in table.families:
+                        moves.append((src, into, e[i]))
 
-        table.families.update((holder, []) for holder in peaks)
-        table.peak.update(peaks)
-        for k, a in enumerate(active):
+        for k, a in enumerate(active if owner != list(fams) else ()):
             cols[start[k] : start[k + 1]] *= eps[:a]
-        table.claim(nodes, [owner[j] for a in active for j in range(a)], cols)
-        ends = [rows[0] for rows in at_terminal.values()]
-        table.claim(list(at_terminal), [owner[j] for j in ends], arrivals[ends])
-        for t, value in logs.items():
-            table.log_mismatch(t, value)
-        self.fields.update(zip(nodes, b.tolist()))
-        self.couplings.update(zip(edges, c.tolist()))
-        return True
+        # new columns: every row but a derived head's, and the claiming arrivals
+        keep = [t is None for t in tops[:lead]] + [True] * (len(nodes) - lead) + claimed
+        sites = nodes + [s[-1] for s in seqs]
+        owners = [owner[j] for a in active for j in range(a)] + owner
+        table.claim(
+            list(itertools.compress(sites, keep)),
+            list(itertools.compress(owners, keep)),
+            cols if all(keep) else cols[keep],
+        )
+        for src, dst, flip in moves:  # a family that held sites before the block
+            moved = table.families.pop(src)
+            table.cols[[table.row[n] for n in moved]] *= flip
+            table.families[dst] += moved
+            table.node_family.update(dict.fromkeys(moved, dst))
+            del table.peak[src]
+        table.peak.update(hold)
+        for key, value in ((f"merge_{t}", x) for t, x in logs.items()):
+            table.mismatch_log[key] = max(table.mismatch_log.get(key, 0.0), value)
+        self.fields.update(zip(nodes, bs))
+        self.couplings.update(zip(edges, cs))
 
 
 def _batches(segments: list[tuple[str, BranchPeel]]):
-    """Split (family, segment) pairs, in order, into runs that may go in lockstep.
+    """Split (family, segment) pairs, in order, into blocks for `_Recursion.advance`.
 
-    A run holds consecutive measured segments until one would end at a site
-    another consumes, or consume a site another ends at; any other segment
-    makes a run of its own.
+    A block holds consecutive measured segments, none ending at a site that
+    an earlier segment reached or consuming a site that another ends at; any
+    other segment makes a block of its own.  So in a block of several, the
+    first arrival at each terminal claims it.
     """
-    batch, consumed, ends = [], set(), set()
+    batch, ends, reached = [], set(), set()
     for family, peel in segments:
-        joins = peel.seeded_by_measurement and bool(peel.nodes)
-        joins = joins and peel.terminal not in peel.nodes
-        if batch and not (
-            joins and peel.terminal not in consumed and ends.isdisjoint(peel.nodes)
-        ):
+        measured = peel.seeded_by_measurement and bool(peel.nodes)
+        joins = measured and peel.terminal not in reached
+        if batch and not (joins and ends.isdisjoint(peel.nodes)):
             yield batch
-            batch, consumed, ends = [], set(), set()
+            reached |= ends
+            batch, ends = [], set()
+        lone = not measured or peel.terminal in reached
         batch.append((family, peel))
-        if joins:
-            consumed.update(peel.nodes)
-            ends.add(peel.terminal)
-        else:
+        reached.update(peel.nodes)
+        ends.add(peel.terminal)
+        if lone:
             yield batch
-            batch = []
+            reached |= ends
+            batch, ends = [], set()
     if batch:
         yield batch
 
@@ -373,8 +320,7 @@ def _solve_cycle_moments(
     # edge i runs from cyc[i] to the next site, so site i meets edges i - 1 and i
     cyc_edges = list(map(edge_key, cyc, (*cyc[1:], cyc[0])))
     measured = set(plan.measured)
-    skip = set(cyc_edges)
-    tree = {n: _known(g, couplings, n, skip) for n in cyc}
+    tree = {n: _known(g, couplings, n, cyc_edges) for n in cyc}
     if not fields.keys().isdisjoint(cyc):
         raise InputError(f"cycle sites {sorted(set(cyc) & fields.keys())} have fields")
     vecs = np.array(
@@ -387,7 +333,7 @@ def _solve_cycle_moments(
     rhs = (dev**2 * weights).sum(axis=1)
     for i, n in enumerate(cyc):
         if n not in measured:
-            r = _subtract_known(table, tree[n], table.family_of(n), dev[i] * vecs[i])
+            r = _subtract_known(table, tree[n], table.node_family[n], dev[i] * vecs[i])
             rhs[i] = (r * r).sum()
     at = np.arange(length)
     matrix = np.eye(length)
@@ -424,8 +370,7 @@ def _solve_cycle_moments(
         )
     fit_residual = float(np.linalg.norm(matrix @ solution - rhs))
 
-    largest = float(np.max(solution))
-    floor = -tolerances.slack_factor * max(largest, 1.0)
+    floor = -tolerances.slack_factor * max(float(np.max(solution)), 1.0)
     cycle_couplings: dict[Edge, float] = {}
     for e, x in zip(cyc_edges, solution.tolist()):
         if x < floor:
@@ -454,16 +399,8 @@ class ReconstructionResult:
 
 
 def result_to_json(result: ReconstructionResult) -> dict:
-    diag = None
-    if result.cycle_diagnostics is not None:
-        d = result.cycle_diagnostics
-        diag = {
-            "condition_number": d.condition_number,
-            "moments_used": list(d.moments_used),
-            "rank": d.rank,
-            "min_square": d.min_square,
-            "lstsq_residual": d.lstsq_residual,
-        }
+    d = result.cycle_diagnostics
+    diag = None if d is None else {**asdict(d), "moments_used": list(d.moments_used)}
     return {
         **params_to_json(result.params),
         "residuals": dict(sorted(result.residuals.items())),
@@ -505,10 +442,13 @@ def reconstruct(
     segments = [(REFERENCE_FAMILY, BranchPeel(path[0], path[:-1], path[-1], True))]
     segments += [(f"branch:{p.head}", p) for p in plan.peel_schedule]
     for batch in _batches(segments):
-        # a lone segment walks: the lockstep's set-up costs more than it saves
-        if len(batch) == 1 or not run.lockstep(batch):
-            for family, peel in batch:
-                run.walk(family, peel)
+        try:
+            run.advance(batch)
+        except GatewayTomoError:
+            # nothing was written: one at a time, the earliest failing segment raises
+            for segment in batch if len(batch) > 1 else ():
+                run.advance([segment])
+            raise
 
     diagnostics, flags = None, ()
     if plan.cycle_plan is not None:

@@ -227,6 +227,19 @@ def test_multi_loop_graph_exits_as_not_estimable(tmp_path, capsys):
     assert "[NotEstimable]" in capsys.readouterr().err
 
 
+def test_negative_seed_exits_two(path3_files, capsys):
+    graph, params = path3_files
+    for kind in (["--kind", "shots", "--shots", "100"],
+                 ["--kind", "decaying", "--times", "0:10:5", "--gamma", "0.1",
+                  "--noise", "0.01"]):
+        code = main(["simulate", "--graph", str(graph), "--params", str(params),
+                     *kind, "--seed", "-1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "seed -1 is not a nonnegative integer" in err
+        assert "Traceback" not in err
+
+
 def test_bad_inputs_exit_two(path3_files, tmp_path, capsys):
     graph, params = path3_files
     assert main(["classify", "--graph", str(tmp_path / "missing.json")]) == 2

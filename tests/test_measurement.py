@@ -71,6 +71,23 @@ def test_provenance_validation():
         Provenance("exact", shots=100)
 
 
+def test_negative_seed_is_refused_before_sampling(dimer):
+    # numpy takes only nonnegative seeds; a negative one is bad input
+    with pytest.raises(InputError, match="seed -1"):
+        Provenance("shots", shots=9, seed=-1)
+    with pytest.raises(InputError, match="seed -1"):
+        measure_shots(dimer, [1], 100, seed=-1)
+    model = DecayModel((0.1, 0.2))
+    for noise in (0.0, 0.01):
+        with pytest.raises(InputError, match="seed -3"):
+            measure_decaying(dimer, [1], [0.0, 1.0], model, noise=noise, seed=-3)
+    doc = measurement_to_json(measure_shots(dimer, [1], 100, seed=0))
+    doc["provenance"]["seed"] = -1
+    with pytest.raises(InputError, match="seed -1"):
+        measurement_from_json(doc)
+    assert measure_shots(dimer, [1], 100, seed=np.int64(0)).provenance.seed == 0
+
+
 # ----------------------------------------------------------- measurement
 
 

@@ -14,7 +14,6 @@ from gateway_tomo import (
     DEFAULT_TOLERANCES,
     AccessPlan,
     BranchPeel,
-    CoefficientTable,
     GatewayTomoError,
     HamiltonianParams,
     InputError,
@@ -35,7 +34,7 @@ from gateway_tomo import (
     reconstruct,
     result_to_json,
 )
-from gateway_tomo.reconstruction import _Recursion
+from gateway_tomo.reconstruction import _batches, _Recursion
 from util import generic_system, max_param_error, random_params, random_tree_edges
 
 
@@ -127,9 +126,12 @@ def test_near_zero_coupling_raises_instead_of_dividing():
     assert info.value.edge == (2, 3)
     assert info.value.flag == "NearZeroDivision"
     # a NaN tolerance would switch the guard off; infinity keeps it on
-    for bad in (float("nan"), -1.0):
+    for bad in (float("nan"), -1.0, "x", None, [1e-9], np.array([1e-9, 1e-9]), 1j):
         with pytest.raises(InputError, match="coupling_tol"):
             Tolerances(coupling_tol=bad)
+    # every real number >= 0 stays accepted, whatever its type
+    for good in (0, 1e-9, np.float64(1e-9), np.array(1e-9), True, math.inf):
+        assert Tolerances(coupling_tol=good).coupling_tol is good
     with pytest.raises(NearZeroDivisionError):
         reconstruct(g, plan, meas, tolerances=Tolerances(coupling_tol=math.inf))
 
@@ -173,51 +175,141 @@ def test_star_aggressive_roundtrip(rng):
 # --------------------------------------------------------- sign families
 
 
-def test_merge_aligns_incoming_family():
-    table = CoefficientTable(np.array([-1.0, 0.0, 1.0]))
-    table.seed("reference", 1, np.array([0.6, 0.1, 0.7]))
-    table.add("reference", 3, np.array([0.5, 0.5, 0.5]))
-    table.seed("branch:5", 5, np.array([0.3, 0.4, 0.3]))
-    survivor = table.merge(3, "branch:5", np.array([0.5, -0.5, 0.5]), 1e-9)
-    assert survivor == "reference"
-    assert table.family_of(5) == "reference"
-    np.testing.assert_allclose(table.vector(5), [0.3, -0.4, 0.3], atol=1e-15)
-    np.testing.assert_allclose(table.vector(3), [0.5, 0.5, 0.5], atol=1e-15)
-    assert table.mismatch_log["merge_3"] == pytest.approx(0.0, abs=1e-15)
-    assert len(table.families) == 1
+def run_blocks(g, plan, meas):
+    """The recursion of ``reconstruct`` up to the cycle solve, for inspection."""
+    run = _Recursion(g, meas, DEFAULT_TOLERANCES)
+    for block in _batches(plan_segments(plan)):
+        run.advance(block)
+    return run
 
 
-def test_merge_keeps_reference_name_when_reference_arrives():
-    table = CoefficientTable(np.array([-1.0, 0.0, 1.0]))
-    table.seed("branch:9", 9, np.array([0.2, -0.3, 0.4]))
-    table.add("branch:9", 3, np.array([0.5, 0.5, 0.5]))
-    table.seed("reference", 1, np.array([0.6, 0.1, 0.7]))
-    survivor = table.merge(3, "reference", np.array([0.5, -0.5, 0.5]), 1e-9)
-    assert survivor == "reference"
-    assert table.family_of(3) == "reference"
-    assert table.family_of(9) == "reference"
-    np.testing.assert_allclose(table.vector(3), [0.5, -0.5, 0.5], atol=1e-15)
-    np.testing.assert_allclose(table.vector(9), [0.2, 0.3, 0.4], atol=1e-15)
+def plan_segments(plan):
+    path = plan.reference_path or (plan.reference,)
+    segments = [("reference", BranchPeel(path[0], path[:-1], path[-1], True))]
+    return segments + [(f"branch:{p.head}", p) for p in plan.peel_schedule]
+
+
+def test_merge_aligns_incoming_family(rng):
+    spider = [(1, 2), (1, 4), (4, 5), (1, 6), (6, 7)]
+    # site 7 fires a derived segment that merges into the reference at 3
+    nested = [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6), (6, 7), (7, 8), (7, 9)]
+    for edges in (spider, nested):
+        g = NetworkGraph.from_edges(edges)
+        g, params, plan, eig, meas = generic_system(rng, g)
+        table = run_blocks(g, plan, meas).table
+        # every branch merged into the reference family, whose frame is the
+        # gauge the eigensystem was fixed in: each arriving column was flipped
+        assert set(table.node_family.values()) == {"reference"}
+        assert list(table.families) == list(table.peak) == ["reference"]
+        assert any((eig.site_amplitudes(n) < 0).any() for n in plan.access_set)
+        for n in table.row:
+            np.testing.assert_allclose(
+                table.vector(n), eig.site_amplitudes(n), atol=1e-12
+            )
+        assert table.mismatch_log and max(table.mismatch_log.values()) < 1e-12
+        # the running peak is the largest modulus over the family's columns
+        claimed = np.abs(table.cols[: len(table.row)])
+        np.testing.assert_array_equal(table.peak["reference"], claimed.max(axis=0))
+
+
+def test_merge_keeps_reference_name_when_reference_arrives(rng):
+    # path 1-2-3-4: branch 4 claims site 3 first, then the reference family
+    # arrives there through a derived segment from 2, so the branch family
+    # is the one that flips into the reference frame
+    g = NetworkGraph.from_edges([(1, 2), (2, 3), (3, 4)])
+    plan = AccessPlan(
+        reference=1,
+        access_set=(1, 4),
+        reference_path=(1, 2),
+        peel_schedule=(BranchPeel(4, (4,), 3, True), BranchPeel(2, (2,), 3, False)),
+    )
+    g, params = random_params(rng, g)
+    eig = gauge_fix(eigendecompose(assemble_single_excitation(g, params)), 1)
+    meas = measure_exact(eig, plan.access_set)
+    assert (eig.site_amplitudes(4) < 0).any()
+    table = run_blocks(g, plan, meas).table
+    assert table.node_family == dict.fromkeys((1, 2, 4, 3), "reference")
+    assert table.families == {"reference": [1, 2, 4, 3]}
+    for n in (1, 2, 3, 4):
+        np.testing.assert_allclose(table.vector(n), eig.site_amplitudes(n), atol=1e-12)
+    result = reconstruct(g, plan, meas)
+    assert max_param_error(params, result.params) < 1e-10
+    assert result.residuals["merge_3"] < 1e-12
 
 
 def test_merge_refuses_weak_shared_overlap():
-    table = CoefficientTable(np.array([-1.0, 0.0, 1.0]))
-    table.seed("reference", 3, np.array([0.5, 0.5, 0.5]))
-    table.seed("branch:5", 5, np.array([0.3, 0.4, 0.3]))
+    # the reference hub column vanishes in state 2 (its field is E = 0), so
+    # the block kernel refuses leg 5's merge at the hub and writes nothing
+    g, plan, meas = two_leg_spider_measurement(
+        {2: [0, 1, 2, 1, 0, 0], 5: [1, 2, 3, 4, 5, 6], 7: [3, 2, 3, 4, 2, 3]}
+    )
+    run = _Recursion(g, meas, DEFAULT_TOLERANCES)
+    (block,) = _batches(plan_segments(plan))
+    assert len(block) == 3
     with pytest.raises(SignAmbiguityError) as info:
-        table.merge(3, "branch:5", np.array([0.5, 0.0, 0.5]), 1e-9)
-    assert info.value.node == 3
-    assert info.value.indices == [1]
+        run.advance(block)
+    assert info.value.node == 1
+    assert info.value.indices == [2]
     assert info.value.flag == "SignAmbiguity"
+    assert not run.table.row and not run.fields and not run.couplings
 
 
 def test_table_guards_duplicate_claims():
-    table = CoefficientTable(np.array([-1.0, 1.0]))
-    table.seed("reference", 1, np.array([0.5, 0.5]))
+    g = NetworkGraph.from_edges([(1, 2), (2, 3)])
+    _, params = random_params(np.random.default_rng(3), g, random_signs=False)
+    eig = gauge_fix(eigendecompose(assemble_single_excitation(g, params)), 1)
+    meas = measure_exact(eig, (1,))
+    # a second measured segment headed at the reference claims it again
+    plan = AccessPlan(1, (1,), (1, 2, 3), (BranchPeel(1, (), 1, True),))
+    with pytest.raises(InputError, match="site 1 already belongs to a family"):
+        reconstruct(g, plan, meas)
+    # a derived segment scheduled before anything reaches its head
+    g = NetworkGraph.from_edges([(1, 2), (2, 3), (3, 4)])
+    _, params = random_params(np.random.default_rng(3), g, random_signs=False)
+    eig = gauge_fix(eigendecompose(assemble_single_excitation(g, params)), 1)
+    early = (BranchPeel(3, (3,), 4, False), BranchPeel(2, (2,), 3, False))
+    with pytest.raises(InputError, match="head 3 has no column yet"):
+        reconstruct(g, AccessPlan(1, (1,), (1, 2), early), measure_exact(eig, (1,)))
     with pytest.raises(InputError):
-        table.seed("reference", 2, np.array([0.5, 0.5]))
-    with pytest.raises(InputError):
-        table.vector(42)
+        _Recursion(g, measure_exact(eig, (1,)), DEFAULT_TOLERANCES).table.vector(42)
+
+
+def test_segment_meeting_its_own_family_only_drifts(rng):
+    # chain 1-2-3 into the triangle 3-4-5: the measured segment from 3 walks
+    # the triangle back to 3, and the derived segment from 1 then brings the
+    # reference family to 3, which its branch family held first
+    g = NetworkGraph.from_edges([(1, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
+    plan = AccessPlan(
+        reference=1,
+        access_set=(1, 3),
+        reference_path=(),
+        peel_schedule=(
+            BranchPeel(3, (3, 4, 5), 3, True),
+            BranchPeel(1, (1, 2), 3, False),
+        ),
+    )
+    g, params = random_params(rng, g)
+    eig = gauge_fix(eigendecompose(assemble_single_excitation(g, params)), 1)
+    meas = measure_exact(eig, plan.access_set)
+    run = run_blocks(g, plan, meas)
+    table = run.table
+    assert table.families.keys() == table.peak.keys() == {"reference"}
+    claimed = np.abs(table.cols[: len(table.row)])
+    np.testing.assert_array_equal(table.peak["reference"], claimed.max(axis=0))
+    # the triangle's loop is logged as drift, the reference's arrival as a merge
+    assert set(table.mismatch_log) == {"merge_3"}
+    assert sorted(run.couplings) == sorted(g.edges)
+    assert reconstruct(g, plan, meas).residuals.keys() == {"merge_3"}
+
+
+def test_batches_keep_a_segment_ending_where_an_earlier_block_reached_alone():
+    ref = ("reference", BranchPeel(1, (1, 2), 3, True))
+    derived = ("branch:9", BranchPeel(3, (3,), 4, False))
+    late = ("branch:5", BranchPeel(5, (5,), 4, True))
+    leg = ("branch:7", BranchPeel(7, (7,), 6, True))
+    legs = [(f"branch:{h}", BranchPeel(h, (h,), 10, True)) for h in (8, 9)]
+    blocks = list(_batches([ref, derived, leg, late, *legs]))
+    assert blocks == [[ref], [derived], [leg], [late], legs]
 
 
 def two_leg_spider_measurement(leaf_moduli):
@@ -263,20 +355,36 @@ def test_error_names_the_earliest_failing_segment(leg5, expected):
     assert getattr(info.value, "indices", None) == indices
 
 
-def test_lockstep_aligns_states_only_the_arriving_column_carries():
+def test_derived_segment_failing_at_its_head_names_head_and_edge():
+    # the reference path stops at 2 and a derived segment continues from it;
+    # site 2's column, less its known neighbor 1, vanishes in every state
+    meas = SpectralMeasurement(
+        (1,),
+        np.array([-1.0, 0.0, 1.0]),
+        np.array([[math.sqrt(0.5), 0.0, math.sqrt(0.5)]]),
+        Provenance("exact"),
+    )
+    g = NetworkGraph.from_edges([(1, 2), (2, 3)])
+    plan = AccessPlan(1, (1,), (1, 2), (BranchPeel(2, (2,), 3, False),))
+    with pytest.raises(NearZeroDivisionError) as info:
+        reconstruct(g, plan, meas)
+    assert info.value.node == 2
+    assert info.value.edge == (2, 3)
+    assert info.value.flag == "NearZeroDivision"
+
+
+def test_block_aligns_states_only_the_arriving_column_carries():
     # leg 5's own columns stay below overlap_tol in state 0, but the column it
     # derives for the hub rises above it there, so state 0 takes its sign from
     # the hub instead of defaulting to +1
     g, plan, meas = two_leg_spider_measurement(
         {2: [3, 2, 1, 4, 1, 2], 5: [1e-18, 2, 1, 4, 3, 4], 7: [3, 2, 3, 4, 2, 3]}
     )
-    path = plan.reference_path
-    batch = [("reference", BranchPeel(path[0], path[:-1], path[-1], True))]
-    batch += [(f"branch:{p.head}", p) for p in plan.peel_schedule]
+    (block,) = _batches(plan_segments(plan))
     fast, slow = (_Recursion(g, meas, DEFAULT_TOLERANCES) for _ in range(2))
-    assert fast.lockstep(batch)
-    for family, peel in batch:
-        slow.walk(family, peel)
+    fast.advance(block)
+    for segment in block:
+        slow.advance([segment])
     assert 0 < abs(slow.table.vector(5)[0]) < DEFAULT_TOLERANCES.overlap_tol
     assert slow.table.vector(5)[0] < 0 < meas.moduli_of(5)[0]
     for n in slow.table.row:
@@ -329,10 +437,10 @@ def test_plan_checks_survive_python_optimize():
     assert out.stdout.startswith("InputError site 5 claimed twice")
 
 
-def test_lockstep_matches_walking_one_segment_at_a_time():
+def test_block_matches_running_one_segment_at_a_time():
     rng = np.random.default_rng(11)
-    compared = 0
-    for trial in range(20):
+    compared, several, raised = 0, 0, 0
+    for trial in range(40):
         if trial % 2:
             edges = random_tree_edges(rng, int(rng.integers(6, 30)))
         else:
@@ -340,42 +448,51 @@ def test_lockstep_matches_walking_one_segment_at_a_time():
                 (2 + k, 7 + k) for k in range(4)
             ] + [(7, 12), (8, 13)]
         g, params = random_params(rng, NetworkGraph.from_edges(edges))
-        plan = compute_access_plan(g)
+        plan = compute_access_plan(g, aggressive=trial % 4 == 1)
         eig = gauge_fix(
             eigendecompose(assemble_single_excitation(g, params)), plan.reference
         )
-        meas = measure_shots(eig, plan.access_set, 10**4, seed=trial)
-        path = plan.reference_path
-        batch = [("reference", BranchPeel(path[0], path[:-1], path[-1], True))]
-        batch += [
-            (f"branch:{p.head}", p)
-            for p in plan.peel_schedule
-            if p.seeded_by_measurement
-        ]
+        # few shots often make a step or a merge fail; many rarely do
+        shots = 10**4 if trial % 3 == 0 else 10**8
+        meas = measure_shots(eig, plan.access_set, shots, seed=trial)
         fast, slow = (_Recursion(g, meas, DEFAULT_TOLERANCES) for _ in range(2))
-        ok = fast.lockstep(batch)
-        try:
-            for family, peel in batch:
-                slow.walk(family, peel)
-        except GatewayTomoError:
-            # the lockstep refuses instead and leaves everything untouched
-            assert not ok
-            assert not fast.table.row and not fast.fields and not fast.couplings
-            continue
-        assert ok
-        compared += 1
-        assert fast.fields == slow.fields and fast.couplings == slow.couplings
-        t1, t2 = fast.table, slow.table
-        assert t1.mismatch_log == t2.mismatch_log
-        assert t1.node_family == t2.node_family
-        assert {k: sorted(v) for k, v in t1.families.items()} == {
-            k: sorted(v) for k, v in t2.families.items()
-        }
-        for family in t1.families:
-            np.testing.assert_array_equal(t1.peak[family], t2.peak[family])
-        for n in t1.row:
-            np.testing.assert_array_equal(t1.vector(n), t2.vector(n))
-    assert compared >= 10
+        for block in _batches(plan_segments(plan)):
+            before = snapshot(fast)
+            try:
+                for segment in block:
+                    slow.advance([segment])
+            except GatewayTomoError:
+                # the block raises too and leaves everything untouched
+                with pytest.raises(GatewayTomoError):
+                    fast.advance(block)
+                assert snapshot(fast) == before
+                raised += 1
+                break
+            fast.advance(block)
+            compared += 1
+            several += len(block) > 1
+            assert fast.fields == slow.fields and fast.couplings == slow.couplings
+            t1, t2 = fast.table, slow.table
+            assert t1.mismatch_log == t2.mismatch_log
+            assert t1.node_family == t2.node_family
+            assert {k: sorted(v) for k, v in t1.families.items()} == {
+                k: sorted(v) for k, v in t2.families.items()
+            }
+            assert t1.peak.keys() == t2.peak.keys()
+            for family in t1.families:
+                np.testing.assert_array_equal(t1.peak[family], t2.peak[family])
+            for n in t1.row:
+                np.testing.assert_array_equal(t1.vector(n), t2.vector(n))
+    assert compared >= 60 and several >= 25 and raised >= 8
+
+
+def snapshot(run):
+    t = run.table
+    cols = {n: t.vector(n).tolist() for n in t.row}
+    peaks = {k: v.tolist() for k, v in t.peak.items()}
+    families = {k: list(v) for k, v in t.families.items()}
+    return (dict(run.fields), dict(run.couplings), cols, peaks, families,
+            dict(t.node_family), dict(t.mismatch_log))
 
 
 
