@@ -209,16 +209,12 @@ def measure_shots(
     if not is_shot_count(shots):
         raise InputError(f"shot count {shots!r} is not a whole number in [1, 2**63)")
     rng = np.random.default_rng(_checked_seed(seed))
-    rows = []
-    for n in nodes:
-        weights = eig.site_amplitudes(n) ** 2
-        probs = weights / weights.sum()
-        counts = rng.multinomial(shots, probs)
-        rows.append(np.sqrt(counts / shots))
+    weights = eig.vectors[[eig.index_of[n] for n in nodes]] ** 2
+    counts = rng.multinomial(shots, weights / weights.sum(axis=1, keepdims=True))
     return SpectralMeasurement(
         nodes,
         eig.eigenvalues.copy(),
-        np.stack(rows),
+        np.sqrt(counts / shots),
         Provenance("shots", shots=shots, seed=seed),
     )
 

@@ -160,15 +160,17 @@ class _Recursion:
         for j, top in enumerate(tops):
             if top is not None:
                 peak[j] = top
+        sign = np.array([g.sign_of[e] for e in edges], dtype=float)
+        b_all, c_all = np.empty(len(nodes)), np.empty(len(nodes))
         # eigenvalues repeated per segment: numpy multiplies equal shapes faster
-        bs, cs, eigs = [], [], np.tile(table.eigenvalues, (len(seqs), 1))
+        eigs = np.repeat(table.eigenvalues[None], len(seqs), axis=0)
         for k, a in enumerate(active):
             lo, hi = start[k], start[k + 1]
             if taken < hi:
                 raise InputError(f"site {nodes[taken]} claimed twice")
             v = cols[lo:hi]
             np.maximum(peak[:a], np.abs(v), out=peak[:a])
-            b = np.add.reduce(eigs[:a] * v * v, 1)
+            b = b_all[lo:hi] = np.add.reduce(eigs[:a] * v * v, 1)
             r = (eigs[:a] - b[:, None]) * v
             if k:
                 r -= c[:a, None] * cols[start[k - 1] : start[k - 1] + a]
@@ -180,12 +182,10 @@ class _Recursion:
             if low:
                 value = math.sqrt(max(float(c_sq[low[0] - lo]), 0.0))
                 raise NearZeroDivisionError(nodes[low[0]], edges[low[0]], value)
-            c = np.array([g.sign_of[e] for e in edges[lo:hi]]) * np.sqrt(c_sq)
+            c = c_all[lo:hi] = sign[lo:hi] * np.sqrt(c_sq)
             r /= c[:, None]
             going = active[k + 1] if k + 1 < len(active) else 0
             cols[hi : hi + going], arrivals[going:a] = r[:going], r[going:]
-            bs += b.tolist()
-            cs += c.tolist()
 
         # settle each terminal in schedule order: the family that held it
         # before the block keeps it, or else the first arrival claims it, and
@@ -253,8 +253,8 @@ class _Recursion:
         table.peak.update(hold)
         for key, value in ((f"merge_{t}", x) for t, x in logs.items()):
             table.mismatch_log[key] = max(table.mismatch_log.get(key, 0.0), value)
-        self.fields.update(zip(nodes, bs))
-        self.couplings.update(zip(edges, cs))
+        self.fields.update(zip(nodes, b_all.tolist()))
+        self.couplings.update(zip(edges, c_all.tolist()))
 
 
 def _batches(segments: list[tuple[str, BranchPeel]]):
