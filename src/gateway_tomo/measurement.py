@@ -108,23 +108,23 @@ class SpectralMeasurement:
         object.__setattr__(self, "moduli", mods)
         if vals.ndim != 1:
             raise InputError("eigenvalues must be a flat list")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise InputError("eigenvalues must be finite")
-        if np.any(np.diff(vals) <= 0):
+        if (np.diff(vals) <= 0).any():
             raise InputError("eigenvalues must be strictly increasing")
         if mods.shape != (len(self.nodes), len(vals)):
             raise InputError(
                 f"moduli shape {mods.shape} does not match "
                 f"{len(self.nodes)} sites x {len(vals)} eigenvalues"
             )
-        if not np.all(np.isfinite(mods)) or np.any(mods < 0):
+        if not np.isfinite(mods).all() or (mods < 0).any():
             raise InputError("moduli must be finite and nonnegative")
         if len(set(self.nodes)) != len(self.nodes):
             raise InputError("measured sites must be distinct")
         slack = self.provenance.norm_slack
-        sums = np.sum(mods * mods, axis=1)
+        sums = np.add.reduce(mods * mods, 1)
         off = np.abs(sums - 1.0)
-        if np.any(off > slack):
+        if (off > slack).any():
             worst = int(np.argmax(off))
             raise InputError(
                 f"modulus squares at site {self.nodes[worst]} sum to "

@@ -327,14 +327,14 @@ def _solve_cycle_moments(
         [meas.moduli_of(n) if n in measured else table.vector(n) for n in cyc]
     )
     weights = vecs * vecs
-    b = (eigs * vecs * vecs).sum(axis=1)
+    b = np.add.reduce(eigs * vecs * vecs, 1)
     fields.update(zip(cyc, b.tolist()))
     dev = eigs - b[:, None]
-    rhs = (dev**2 * weights).sum(axis=1)
+    rhs = np.add.reduce(dev**2 * weights, 1)
     for i, n in enumerate(cyc):
         if n not in measured:
             r = _subtract_known(table, tree[n], table.node_family[n], dev[i] * vecs[i])
-            rhs[i] = (r * r).sum()
+            rhs[i] = np.add.reduce(r * r)
     at = np.arange(length)
     matrix = np.eye(length)
     matrix[at, at - 1] = 1.0
@@ -342,7 +342,7 @@ def _solve_cycle_moments(
     moments_used = ["second"]
     if length % 2 == 0:
         moments_used.append("third")
-        third = (dev**3 * weights).sum(axis=1)
+        third = np.add.reduce(dev**3 * weights, 1)
         for i, n in enumerate(cyc):
             for u, c in tree[n]:
                 third[i] -= c * c * (fields[u] - fields[n])
@@ -370,7 +370,7 @@ def _solve_cycle_moments(
         )
     fit_residual = float(np.linalg.norm(matrix @ solution - rhs))
 
-    floor = -tolerances.slack_factor * max(float(np.max(solution)), 1.0)
+    floor = -tolerances.slack_factor * max(float(solution.max()), 1.0)
     cycle_couplings: dict[Edge, float] = {}
     for e, x in zip(cyc_edges, solution.tolist()):
         if x < floor:
@@ -382,7 +382,7 @@ def _solve_cycle_moments(
         cycle_couplings[e] = g.sign_of[e] * math.sqrt(x)
 
     diagnostics = CycleDiagnostics(
-        condition, tuple(moments_used), int(rank), float(np.min(solution)), fit_residual
+        condition, tuple(moments_used), int(rank), float(solution.min()), fit_residual
     )
     flags = ("RankAugmented",) if "third" in moments_used else ()
     return cycle_couplings, diagnostics, flags
