@@ -162,16 +162,14 @@ class _Recursion:
                 peak[j] = top
         sign = np.array([g.sign_of[e] for e in edges], dtype=float)
         b_all, c_all = np.empty(len(nodes)), np.empty(len(nodes))
-        # eigenvalues repeated per segment: numpy multiplies equal shapes faster
-        eigs = np.repeat(table.eigenvalues[None], len(seqs), axis=0)
         for k, a in enumerate(active):
             lo, hi = start[k], start[k + 1]
             if taken < hi:
                 raise InputError(f"site {nodes[taken]} claimed twice")
             v = cols[lo:hi]
             np.maximum(peak[:a], np.abs(v), out=peak[:a])
-            b = b_all[lo:hi] = np.add.reduce(eigs[:a] * v * v, 1)
-            r = (eigs[:a] - b[:, None]) * v
+            b = b_all[lo:hi] = np.add.reduce(table.eigenvalues * v * v, 1)
+            r = (table.eigenvalues - b[:, None]) * v
             if k:
                 r -= c[:a, None] * cols[start[k - 1] : start[k - 1] + a]
             elif couplings:  # before any coupling no head has a known neighbor
@@ -192,7 +190,7 @@ class _Recursion:
         # every other arrival aligns the states that it and the holder, as
         # grown by the arrivals before it, both carry, then joins the holder
         at_terminal, hold, logs, moves = {}, {}, {}, []
-        claimed, owner, eps = [False] * len(seqs), list(fams), np.ones_like(arrivals)
+        claimed, owner, eps = [False] * len(seqs), list(fams), None
         for j in sorted(range(len(seqs)), key=rank.__getitem__):
             at_terminal.setdefault(seqs[j][-1], []).append(j)
         for t, js in at_terminal.items():
@@ -208,6 +206,7 @@ class _Recursion:
                 logs[t] = float(np.abs(arrivals[js[0]] - ex).max())
                 hold[dst] = peak[js[0]]
             elif js:
+                eps = np.ones_like(arrivals) if eps is None else eps
                 arriving, inc, base = arrivals[js], peak[js], hold.get(dst)
                 base = table.peak[dst] if base is None else base
                 mag = np.abs(arriving)
@@ -233,7 +232,7 @@ class _Recursion:
                     if src in table.families:
                         moves.append((src, into, e[i]))
 
-        for k, a in enumerate(active if owner != list(fams) else ()):
+        for k, a in enumerate(active if eps is not None else ()):
             cols[start[k] : start[k + 1]] *= eps[:a]
         # new columns: every row but a derived head's, and the claiming arrivals
         keep = [t is None for t in tops[:lead]] + [True] * (len(nodes) - lead) + claimed
