@@ -376,12 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.set_defaults(func=func)
         p.add_argument("--out", help="write a JSON report to this path")
-        p.add_argument(
-            "--tol",
-            action="append",
-            metavar="NAME=VALUE",
-            help="override a tolerance (repeatable)",
-        )
         return p
 
     p = add("classify", _cmd_classify, "classify a graph's topology")
@@ -430,6 +424,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=parse_shots)
     p.add_argument("--seed", type=int)
 
+    for name in ("simulate", "reconstruct", "roundtrip"):
+        sub.choices[name].add_argument(
+            "--tol", action="append", metavar="NAME=VALUE",
+            help="override a tolerance (repeatable)",
+        )
     return parser
 
 

@@ -164,8 +164,6 @@ def extrapolate_t0(series: DecaySeries) -> ExtrapolationFit:
     if np.any(amps <= 0):
         raise InputError("nonpositive amplitudes cannot be log-fitted")
     times = series.times
-    if len(np.unique(times)) < 2:
-        raise InputError("decay extrapolation is underdetermined: need two times")
 
     n_sites, n_times, n_states = amps.shape
     design = np.column_stack([np.ones(n_times), times])

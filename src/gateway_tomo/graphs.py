@@ -349,7 +349,10 @@ class AccessPlan:
 
     ``reference_path`` runs from the reference site to the first branching
     or cycle site.  ``peel_schedule`` is ordered: a derived segment never
-    appears before the segments that determine its head vector.
+    appears before the segments that determine its head vector.  A plan can
+    run when it obeys the gateway rule, which `validate` checks: a site's
+    sum rule is consumed only while exactly one of its edges is unresolved,
+    the one its segment walks next.
     """
 
     reference: int
@@ -373,55 +376,66 @@ class AccessPlan:
         return tuple(sorted(set(g.nodes) - set(self.consumed_sites)))
 
     def validate(self, g: NetworkGraph) -> None:
-        """Raise InputError unless the plan is coherent for ``g``.
+        """Raise InputError unless the plan can run on ``g``.
 
-        Checks that each site's equation is consumed at most once, that the
-        segments and cycle jointly resolve every edge exactly once, and that
-        measured heads are accessed.  ``reconstruct`` runs this on every plan
-        it receives; ``compute_access_plan`` does not re-check its own.
+        Replays the reference path, ``peel_schedule`` and the cycle plan over
+        the unresolved edges.  A measured head must be accessed and new, a
+        derived head must have a column.  A step consumes a site whose only
+        open edge it walks and gives the next site a column; only a terminal
+        may be reached again, where families merge.  A cycle site must have
+        just its cycle edges open, a measured one must be an accessed leaf of
+        the cycle, an attachment must have a column.  No edge may stay open.
+        ``reconstruct`` runs this on every plan; no other code checks it.
         """
-        node_set = set(g.nodes)
         access = set(self.access_set)
-        if access - node_set:
+        if not access <= g.adjacency.keys():
             raise InputError("access set contains unknown sites")
-        if self.reference not in access:
-            raise InputError("reference site is not in the access set")
-
-        consumed = self.consumed_sites
-        if len(consumed) != len(set(consumed)):
-            dupes = sorted({n for n in consumed if consumed.count(n) > 1})
-            raise InputError(f"sites consumed more than once: {dupes}")
-        if set(consumed) - node_set:
-            raise InputError("plan consumes sites not in the graph")
-
-        path = self.reference_path
-        if path and path[0] != self.reference:
+        path = self.reference_path or (self.reference,)
+        if path[0] != self.reference:
             raise InputError("reference path does not start at the reference site")
-        edges: list[Edge] = list(map(edge_key, path, path[1:]))
-        for peel in self.peel_schedule:
-            seg = (*peel.nodes, peel.terminal)
-            if peel.nodes and peel.nodes[0] != peel.head:
-                raise InputError(f"segment at {peel.head} does not start at its head")
-            if peel.seeded_by_measurement and peel.head not in access:
-                raise InputError(f"measured segment head {peel.head} is not accessed")
-            edges.extend(map(edge_key, seg, seg[1:]))
+        open_ = {n: set(ns) for n, ns in g.adjacency.items()}  # unresolved edges
+        columns: set[int] = set()
+        reference = BranchPeel(path[0], path[:-1], path[-1], True)
+        for peel in (reference, *self.peel_schedule):
+            head, nodes = peel.head, peel.nodes
+            if not peel.seeded_by_measurement:
+                if head not in columns:
+                    raise InputError(f"derived segment head {head} has no column yet")
+            elif head not in access:
+                raise InputError(f"measured segment head {head} is not accessed")
+            elif head in columns:
+                raise InputError(f"site {head} already belongs to a family")
+            columns.add(head)
+            if nodes and nodes[0] != head:
+                raise InputError(f"segment at {head} does not start at its head")
+            for i, (n, nxt) in enumerate(zip(nodes, (*nodes[1:], peel.terminal))):
+                if nxt not in open_[n]:
+                    e = edge_key(n, nxt)
+                    raise InputError(f"segment at {head} walks {e}, not an open edge")
+                if len(open_[n]) > 1:
+                    e = edge_key(n, min(open_[n] - {nxt}))
+                    raise InputError(f"site {n} consumed while edge {e} is open")
+                open_[n].clear()
+                open_[nxt].remove(n)
+                if nxt in columns and i + 1 < len(nodes):
+                    raise InputError(f"site {nxt} claimed twice")
+                columns.add(nxt)
         if self.cycle_plan is not None:
-            cyc = self.cycle_plan.cycle
-            edges.extend(map(edge_key, cyc, (*cyc[1:], cyc[0])))
-            if set(self.cycle_plan.measured) | set(self.cycle_plan.attachments) != set(
-                cyc
-            ):
+            cyc, measured = self.cycle_plan.cycle, set(self.cycle_plan.measured)
+            if measured | set(self.cycle_plan.attachments) != set(cyc):
                 raise InputError("cycle plan does not partition the cycle sites")
-        resolved = set(edges)
-        if len(edges) != len(resolved):
-            dupes = sorted({e for e in edges if edges.count(e) > 1})
-            raise InputError(f"edges resolved more than once: {dupes}")
-        if resolved != set(g.edges):
-            missing = sorted(set(g.edges) - resolved)
-            extra = sorted(resolved - set(g.edges))
-            raise InputError(
-                f"plan edge coverage mismatch (missing {missing}, extra {extra})"
-            )
+            for n, u, w in zip(cyc, cyc[-1:] + cyc[:-1], cyc[1:] + cyc[:1]):
+                if u == w or open_.get(n) != {u, w}:
+                    raise InputError(f"cycle site {n} needs just its cycle edges open")
+                if n in measured and (n not in access or len(g.adjacency[n]) != 2):
+                    raise InputError(f"measured cycle site {n} is not an accessed leaf")
+                if n not in measured and n not in columns:
+                    raise InputError(f"cycle attachment {n} has no column yet")
+            for n in cyc:
+                open_[n].clear()
+        for n, ns in open_.items():
+            if ns:
+                raise InputError(f"plan leaves edge {edge_key(n, min(ns))} unresolved")
 
 
 def _spine_path(g: NetworkGraph, jstar: int, parent: int) -> list[int]:

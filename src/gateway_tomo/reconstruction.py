@@ -14,9 +14,10 @@ O(states).
 One kernel runs every segment, alone or in a block of measured segments
 that never read each other's columns, one (segments x states) array
 operation per recursion step, and then settles the arrivals in schedule
-order, exactly as one at a time.  Cycle couplings never appear alone in a
-sum rule, so their squares are solved jointly from second (and, for even
-cycles, third) central moments of the cycle sites.
+order, exactly as one at a time.  It trusts `AccessPlan.validate` for the
+plan and raises only numeric errors.  Cycle couplings never appear alone
+in a sum rule, so their squares are solved jointly from second (and, for
+even cycles, third) central moments of the cycle sites.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import bisect
 import itertools
 import math
 from dataclasses import asdict, dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -38,7 +40,8 @@ from .errors import (
     RankDeficientError,
     SignAmbiguityError,
 )
-from .graphs import AccessPlan, BranchPeel, CyclePlan, Edge, NetworkGraph, edge_key
+from .graphs import AccessPlan, BranchPeel, CyclePlan, Edge, NetworkGraph
+from .graphs import _check_site, edge_key
 from .measurement import SpectralMeasurement
 from .spectral import HamiltonianParams, params_to_json
 
@@ -78,13 +81,6 @@ class CoefficientTable:
             raise InputError(f"no eigenvector column known at site {node}")
         return self.cols[self.row[node]]
 
-    def rows(self, nodes, families) -> list[int]:
-        """Rows of the columns of ``nodes``; each must lie in its family."""
-        for n, family in zip(nodes, families):
-            if self.node_family.get(n) != family:
-                raise InputError(f"neighbor {n} is outside family {family!r}")
-        return [self.row[n] for n in nodes]
-
 
 def _known(g: NetworkGraph, couplings: dict[Edge, float], node: int, skip=()):
     """Neighbors of ``node`` across resolved edges not in ``skip``, with couplings."""
@@ -92,11 +88,10 @@ def _known(g: NetworkGraph, couplings: dict[Edge, float], node: int, skip=()):
     return [(u, couplings[e]) for u, e in edges if e in couplings and e not in skip]
 
 
-def _subtract_known(table: CoefficientTable, known, family: str, r: np.ndarray):
-    """``r`` minus the known neighbors' columns, all in ``family``, times couplings."""
-    rows = table.rows([u for u, _ in known], [family] * len(known))
-    for (_, c), i in zip(known, rows):
-        r = r - c * table.cols[i]
+def _subtract_known(table: CoefficientTable, known, r: np.ndarray):
+    """``r`` minus the known neighbors' columns times their couplings."""
+    for u, c in known:
+        r = r - c * table.cols[table.row[u]]
     return r
 
 
@@ -112,26 +107,24 @@ class _Recursion:
     def advance(self, batch: list[tuple[str, BranchPeel]]) -> None:
         """Run a block of segments, one array operation per recursion step.
 
-        ``batch`` lists (family, segment) in schedule order, as `_batches`
-        forms it.  A measured segment seeds ``family`` from its head's moduli,
-        a derived one continues the family holding its head column.  Step 0
-        subtracts every known neighbor of each head, a later site only the
-        one before.  Errors come in the order that running the segments one
-        at a time meets them, and before anything is written.
+        ``batch`` lists (family, segment) of a validated plan in schedule
+        order, as `_batches` forms it.  A measured segment seeds ``family``
+        from its head's moduli, a derived one continues the family holding
+        its head column.  Step 0 subtracts every known neighbor of each head,
+        a later site only the one before.  Only numeric errors are raised, in
+        the order that running the segments one at a time meets them, and
+        before anything is written.
         """
         g, table, couplings = self.g, self.table, self.couplings
         overlap, floor = self.tolerances.overlap_tol, self.tolerances.coupling_tol**2
         segs = []
         for i, (family, peel) in enumerate(batch):
             if peel.seeded_by_measurement:
-                if peel.head in table.row:
-                    raise InputError(f"site {peel.head} already belongs to a family")
                 col, top = self.meas.moduli_of(peel.head), None
-            elif (family := table.node_family.get(peel.head)) is None:
-                raise InputError(f"derived segment head {peel.head} has no column yet")
             elif not peel.nodes:
                 continue
             else:
+                family = table.node_family[peel.head]
                 col, top = table.cols[table.row[peel.head]], table.peak[family]
             # a measured segment without steps arrives at its head at once
             seq = (*peel.nodes, peel.terminal) if peel.nodes else (peel.head,)
@@ -150,9 +143,6 @@ class _Recursion:
         succ = [s[k + 1] for k, a in enumerate(active) for s in seqs[:a]]
         edges = [(u, v) if u < v else (v, u) for u, v in zip(nodes, succ)]
         lead = start[1] if active else 0
-        # the first site a later step would claim although it has a column
-        later = range(lead, len(nodes))
-        taken = next((i for i in later if nodes[i] in table.row), len(nodes))
         cols = np.empty((len(nodes) + len(seqs), len(table.eigenvalues)))
         arrivals = cols[len(nodes) :]
         arrivals[:] = heads
@@ -164,8 +154,6 @@ class _Recursion:
         b_all, c_all = np.empty(len(nodes)), np.empty(len(nodes))
         for k, a in enumerate(active):
             lo, hi = start[k], start[k + 1]
-            if taken < hi:
-                raise InputError(f"site {nodes[taken]} claimed twice")
             v = cols[lo:hi]
             np.maximum(peak[:a], np.abs(v), out=peak[:a])
             b = b_all[lo:hi] = np.add.reduce(table.eigenvalues * v * v, 1)
@@ -173,8 +161,8 @@ class _Recursion:
             if k:
                 r -= c[:a, None] * cols[start[k - 1] : start[k - 1] + a]
             elif couplings:  # before any coupling no head has a known neighbor
-                for j, (n, f) in enumerate(zip(nodes, fams[:a])):
-                    r[j] = _subtract_known(table, _known(g, couplings, n), f, r[j])
+                for j, n in enumerate(nodes[:a]):
+                    r[j] = _subtract_known(table, _known(g, couplings, n), r[j])
             c_sq = np.add.reduce(r * r, 1)
             low = [lo + j for j, x in enumerate(c_sq.tolist()) if x <= floor]
             if low:
@@ -196,16 +184,11 @@ class _Recursion:
         for t, js in at_terminal.items():
             if t in table.row:
                 dst, ex = table.node_family[t], table.vector(t)
-            elif t in seqs[js[0]][:-1]:  # a segment looping back to its own site
-                dst, ex = fams[js[0]], cols[start[seqs[js[0]].index(t)] + js[0]]
             else:
                 first = js.pop(0)
                 dst, ex, claimed[first] = fams[first], arrivals[first], True
                 hold[dst] = np.maximum(peak[first], np.abs(ex))
-            if js and fams[js[0]] == dst:  # a family meeting itself only drifts
-                logs[t] = float(np.abs(arrivals[js[0]] - ex).max())
-                hold[dst] = peak[js[0]]
-            elif js:
+            if js:
                 eps = np.ones_like(arrivals) if eps is None else eps
                 arriving, inc, base = arrivals[js], peak[js], hold.get(dst)
                 base = table.peak[dst] if base is None else base
@@ -259,27 +242,27 @@ class _Recursion:
 def _batches(segments: list[tuple[str, BranchPeel]]):
     """Split (family, segment) pairs, in order, into blocks for `_Recursion.advance`.
 
-    A block holds consecutive measured segments, none ending at a site that
-    an earlier segment reached or consuming a site that another ends at; any
-    other segment makes a block of its own.  So in a block of several, the
-    first arrival at each terminal claims it.
+    A block holds consecutive measured segments with steps, none ending at a
+    site that an earlier segment reached; any other segment makes a block of
+    its own.  A valid plan never consumes a site that a segment of the same
+    block ends at, so in a block of several the first arrival at each
+    terminal claims it.
     """
     batch, ends, reached = [], set(), set()
     for family, peel in segments:
-        measured = peel.seeded_by_measurement and bool(peel.nodes)
+        measured = peel.seeded_by_measurement and peel.nodes
         joins = measured and peel.terminal not in reached
-        if batch and not (joins and ends.isdisjoint(peel.nodes)):
-            yield batch
-            reached |= ends
-            batch, ends = [], set()
-        lone = not measured or peel.terminal in reached
-        batch.append((family, peel))
         reached.update(peel.nodes)
-        ends.add(peel.terminal)
-        if lone:
+        if joins:
+            batch.append((family, peel))
+            ends.add(peel.terminal)
+            continue
+        if batch:
             yield batch
-            reached |= ends
-            batch, ends = [], set()
+        yield [(family, peel)]
+        reached |= ends
+        reached.add(peel.terminal)
+        batch, ends = [], set()
     if batch:
         yield batch
 
@@ -320,8 +303,6 @@ def _solve_cycle_moments(
     cyc_edges = list(map(edge_key, cyc, (*cyc[1:], cyc[0])))
     measured = set(plan.measured)
     tree = {n: _known(g, couplings, n, cyc_edges) for n in cyc}
-    if not fields.keys().isdisjoint(cyc):
-        raise InputError(f"cycle sites {sorted(set(cyc) & fields.keys())} have fields")
     vecs = np.array(
         [meas.moduli_of(n) if n in measured else table.vector(n) for n in cyc]
     )
@@ -332,7 +313,7 @@ def _solve_cycle_moments(
     rhs = np.add.reduce(dev**2 * weights, 1)
     for i, n in enumerate(cyc):
         if n not in measured:
-            r = _subtract_known(table, tree[n], table.node_family[n], dev[i] * vecs[i])
+            r = _subtract_known(table, tree[n], dev[i] * vecs[i])
             rhs[i] = np.add.reduce(r * r)
     at = np.arange(length)
     matrix = np.eye(length)
@@ -420,9 +401,9 @@ def reconstruct(
 
     Leftover site equations (those no segment or cycle consumed) become
     consistency residuals keyed ``site_<n>``; family merges report their
-    column disagreement under ``merge_<n>``.  Externally supplied fields
-    are not fed into the recursion, they are only compared against the
-    recovered ones under ``field_supplied_<n>``.
+    column disagreement under ``merge_<n>``.  Externally supplied fields,
+    finite numbers at sites of ``g``, are only compared against the
+    recovered ones under ``field_supplied_<n>``, not fed into the recursion.
     """
     plan.validate(g)
     missing = set(plan.access_set) - set(meas.nodes)
@@ -433,6 +414,12 @@ def reconstruct(
             f"measurement resolves {len(meas.eigenvalues)} eigenstates for a "
             f"{len(g.nodes)}-site network; the full spectrum is required"
         )
+    supplied = known_fields or {}
+    for n, b in supplied.items():
+        if _check_site(n) not in g.adjacency:
+            raise InputError(f"supplied field for unknown site {n}")
+        if isinstance(b, bool) or not isinstance(b, Real) or not math.isfinite(b):
+            raise InputError(f"supplied field at site {n} is not a finite number")
 
     run = _Recursion(g, meas, tolerances)
     table, fields, couplings = run.table, run.fields, run.couplings
@@ -467,8 +454,7 @@ def reconstruct(
         b = (eigs * own * own).sum(axis=1)
         fields.update(zip(checks, b.tolist()))
         known = [[(n, 0.0), *_known(g, couplings, n)] for n in checks]
-        family = [table.node_family[n] for n, k in zip(checks, known) for _ in k]
-        rows = table.rows([u for k in known for u, _ in k], family)
+        rows = [table.row[u] for k in known for u, _ in k]
         cs = np.array([c for k in known for _, c in k])
         starts = [0, *itertools.accumulate(len(k) for k in known[:-1])]
         r = (eigs - b[:, None]) * own
@@ -479,16 +465,8 @@ def reconstruct(
     for key, value in table.mismatch_log.items():
         residuals[key] = max(residuals.get(key, 0.0), value)
 
-    if known_fields:
-        unknown = set(known_fields) - set(g.nodes)
-        if unknown:
-            raise InputError(f"supplied fields for unknown sites {sorted(unknown)}")
-        for n, b in known_fields.items():
-            residuals[f"field_supplied_{n}"] = abs(fields[n] - float(b))
-
-    # every key is a site or an edge of ``g``, so the counts tell coverage
-    if len(fields) != len(g.nodes) or len(couplings) != len(g.edges):
-        raise InputError("the plan leaves a site or an edge unresolved")
+    for n, b in supplied.items():
+        residuals[f"field_supplied_{n}"] = abs(fields[n] - float(b))
     return ReconstructionResult(
         params=HamiltonianParams(fields, couplings),
         residuals=residuals,

@@ -273,11 +273,18 @@ def test_bad_inputs_exit_two(path3_files, tmp_path, capsys):
     meas = tmp_path / "meas.json"
     main(["simulate", "--graph", str(graph), "--params", str(params), "--out", str(meas)])
     known = tmp_path / "known.json"
-    for bad in ([-0.2], {"two": -0.2}, {"2": None}, {"2": "x"}, {"2": -0.2, "02": 0.1}):
+    out = tmp_path / "out.json"
+    for bad in ([-0.2], {"two": -0.2}, {"2": None}, {"2": "x"}, {"2": -0.2, "02": 0.1},
+                {"2": float("nan")}, {"2": float("inf")}, {"9": 0.0}, {"0": 0.0}):
         known.write_text(json.dumps(bad))
         code = main(["reconstruct", "--graph", str(graph), "--measurement", str(meas),
-                     "--known-fields", str(known)])
+                     "--known-fields", str(known), "--out", str(out)])
         assert code == 2
+        assert not out.exists()
+    # --tol belongs to the subcommands that read tolerances
+    with pytest.raises(SystemExit) as exit_:
+        main(["plan", "--graph", str(graph), "--tol", "x=1"])
+    assert exit_.value.code == 2
     # a shot count of NaN or infinity would void the normalisation check
     doc = json.loads(meas.read_text())
     doc["moduli"] = {n: [8 * x for x in row] for n, row in doc["moduli"].items()}

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import gateway_tomo
 from gateway_tomo import (
@@ -19,6 +21,7 @@ from gateway_tomo import (
     InputError,
     NearZeroDivisionError,
     NetworkGraph,
+    NumericError,
     Provenance,
     RankDeficientError,
     SignAmbiguityError,
@@ -35,7 +38,14 @@ from gateway_tomo import (
     result_to_json,
 )
 from gateway_tomo.reconstruction import _batches, _Recursion
-from util import generic_system, max_param_error, random_params, random_tree_edges
+from util import (
+    generic_system,
+    max_param_error,
+    random_open_walk_plan,
+    random_params,
+    random_tree_edges,
+    random_unicyclic_edges,
+)
 
 
 def exact_setup(edges, fields, couplings, *, aggressive=False, signs=None):
@@ -274,10 +284,10 @@ def test_table_guards_duplicate_claims():
         _Recursion(g, measure_exact(eig, (1,)), DEFAULT_TOLERANCES).table.vector(42)
 
 
-def test_segment_meeting_its_own_family_only_drifts(rng):
-    # chain 1-2-3 into the triangle 3-4-5: the measured segment from 3 walks
-    # the triangle back to 3, and the derived segment from 1 then brings the
-    # reference family to 3, which its branch family held first
+def test_segment_walking_back_to_its_own_head_is_refused(rng):
+    # chain 1-2-3 into the triangle 3-4-5: the measured segment from 3 would
+    # consume site 3 while its chain edge is open and walk the triangle back
+    # to 3; run anyway, it returned parameters off by 0.5 to 1.3 with exit 0
     g = NetworkGraph.from_edges([(1, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
     plan = AccessPlan(
         reference=1,
@@ -291,15 +301,11 @@ def test_segment_meeting_its_own_family_only_drifts(rng):
     g, params = random_params(rng, g)
     eig = gauge_fix(eigendecompose(assemble_single_excitation(g, params)), 1)
     meas = measure_exact(eig, plan.access_set)
-    run = run_blocks(g, plan, meas)
-    table = run.table
-    assert table.families.keys() == table.peak.keys() == {"reference"}
-    claimed = np.abs(table.cols[: len(table.row)])
-    np.testing.assert_array_equal(table.peak["reference"], claimed.max(axis=0))
-    # the triangle's loop is logged as drift, the reference's arrival as a merge
-    assert set(table.mismatch_log) == {"merge_3"}
-    assert sorted(run.couplings) == sorted(g.edges)
-    assert reconstruct(g, plan, meas).residuals.keys() == {"merge_3"}
+    message = r"site 3 consumed while edge \(2, 3\) is open"
+    with pytest.raises(InputError, match=message):
+        plan.validate(g)
+    with pytest.raises(InputError, match=message):
+        reconstruct(g, plan, meas)
 
 
 def test_batches_keep_a_segment_ending_where_an_earlier_block_reached_alone():
@@ -392,8 +398,28 @@ def test_block_aligns_states_only_the_arriving_column_carries():
     assert fast.table.mismatch_log == slow.table.mismatch_log
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(3, 16), st.booleans())
+def test_any_plan_that_validates_reconstructs_or_raises_numeric_error(seed, n, tree):
+    """Hand-built plans from random open-edge walks, which `validate` accepts,
+    bring exact data back to 1e-8 or fail with a typed numeric error."""
+    rng = np.random.default_rng(seed)
+    if tree:
+        edges = random_tree_edges(rng, n)
+    else:
+        edges = random_unicyclic_edges(rng, n, int(rng.integers(3, n + 1)))
+    g = NetworkGraph.from_edges(edges)
+    plan = random_open_walk_plan(rng, g)
+    plan.validate(g)
+    g, params, plan, eig, meas = generic_system(rng, g, plan=plan)
+    try:
+        result = reconstruct(g, plan, meas)
+    except NumericError:
+        return
+    assert max_param_error(params, result.params) < 1e-8
+
+
 def claimed_twice_case():
-    """A hand-built star plan that passes validation but derives site 5 twice."""
+    """A hand-built star plan that derives site 5 twice."""
     g = NetworkGraph.from_edges([(1, 5), (2, 5), (3, 5), (4, 5)])
     plan = AccessPlan(
         reference=1,
@@ -404,7 +430,6 @@ def claimed_twice_case():
             BranchPeel(4, (4,), 5, True),
         ),
     )
-    plan.validate(g)
     _, params = random_params(np.random.default_rng(5), g, random_signs=False)
     eig = gauge_fix(eigendecompose(assemble_single_excitation(g, params)), 1)
     return g, plan, measure_exact(eig, plan.access_set)
@@ -418,12 +443,21 @@ def test_hand_built_plan_claiming_a_site_twice_raises_input_error():
 
 def test_plan_checks_survive_python_optimize():
     code = (
-        "from gateway_tomo import InputError, reconstruct\n"
+        "import re\n"
+        "from gateway_tomo import InputError, NetworkGraph, reconstruct\n"
+        "from test_graphs import REFUSED_PLANS\n"
         "from test_reconstruction import claimed_twice_case\n"
         "try:\n"
         "    reconstruct(*claimed_twice_case())\n"
         "except InputError as exc:\n"
         "    print('InputError', exc)\n"
+        "for case, (edges, plan, message) in REFUSED_PLANS.items():\n"
+        "    try:\n"
+        "        plan.validate(NetworkGraph.from_edges(edges))\n"
+        "        print('accepted', case)\n"
+        "    except InputError as exc:\n"
+        "        if not re.search(message, str(exc)):\n"
+        "            print('wrong message', case, exc)\n"
     )
     paths = [str(Path(gateway_tomo.__file__).parents[1]), str(Path(__file__).parent)]
     out = subprocess.run(
@@ -434,7 +468,7 @@ def test_plan_checks_survive_python_optimize():
         env={"PYTHONPATH": ":".join(paths), "PATH": ""},
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.startswith("InputError site 5 claimed twice")
+    assert out.stdout == "InputError site 5 claimed twice\n"
 
 
 def test_block_matches_running_one_segment_at_a_time():
@@ -567,8 +601,11 @@ def test_known_fields_become_consistency_checks():
     assert good.residuals["field_supplied_2"] < 1e-12
     off = reconstruct(g, plan, meas, known_fields={2: 0.3})
     assert off.residuals["field_supplied_2"] == pytest.approx(0.5, abs=1e-9)
-    with pytest.raises(InputError):
-        reconstruct(g, plan, meas, known_fields={42: 0.0})
+    bad = [{42: 0.0}, {0: 0.0}, {"2": 0.0}, {True: 0.0}, {2: math.nan},
+           {2: math.inf}, {2: "abc"}, {2: None}, {2: True}]
+    for known in bad:
+        with pytest.raises(InputError, match="site"):
+            reconstruct(g, plan, meas, known_fields=known)
 
 
 def test_result_json_is_a_complete_record(rng, fmo_graph):

@@ -1,7 +1,8 @@
 """Shared helpers for the test suite.
 
 Random instance generators (trees via Prufer sequences, unicyclic graphs,
-generic parameter draws with rejection against spectral pathologies) plus
+generic parameter draws with rejection against spectral pathologies, plans
+built by random open-edge walks) plus
 deliberately independent oracles used to cross-check the package
 implementation: an infection simulator, an aggressive-spine walker, and the
 direct-sum return signal and unpruned Fourier estimator.
@@ -15,6 +16,8 @@ import itertools
 import numpy as np
 
 from gateway_tomo import (
+    AccessPlan,
+    BranchPeel,
     HamiltonianParams,
     NetworkGraph,
     SpectrumEstimate,
@@ -25,6 +28,7 @@ from gateway_tomo import (
     gauge_fix,
     measure_exact,
 )
+from gateway_tomo.graphs import CyclePlan
 
 
 def random_tree_edges(rng: np.random.Generator, n: int) -> list[tuple[int, int]]:
@@ -144,15 +148,17 @@ def generic_system(
     min_gap: float = 1e-2,
     min_component: float = 1e-3,
     attempts: int = 300,
+    plan: AccessPlan | None = None,
     **param_kw,
 ):
     """Rejection-sample a parameter draw free of spectral pathologies.
 
     Returns (graph, params, plan, gauge-fixed eigensystem, exact measurement).
     Degenerate or nearly dark draws are discarded so failures in the round
-    trip point at the reconstruction, not at an unlucky instance.
+    trip point at the reconstruction, not at an unlucky instance.  ``plan``
+    defaults to the planner's.
     """
-    plan = compute_access_plan(g, aggressive=aggressive)
+    plan = plan or compute_access_plan(g, aggressive=aggressive)
     for _ in range(attempts):
         gs, params = random_params(rng, g, **param_kw)
         eig = eigendecompose(assemble_single_excitation(gs, params))
@@ -289,6 +295,58 @@ def spine_oracle(g: NetworkGraph) -> tuple[int, list[tuple[int, tuple[int, ...],
     cuts.append(len(spine) - 1)
     segments = [(spine[i], tuple(spine[i:j]), spine[j]) for i, j in zip(cuts, cuts[1:])]
     return spine[-1], segments
+
+
+# --- random plans that obey the gateway rule ------------------------------
+
+
+def random_open_walk_plan(rng: np.random.Generator, g: NetworkGraph) -> AccessPlan:
+    """A random hand-built plan for a tree or unicyclic g, by open-edge walks.
+
+    The reference is any site.  Each segment starts at a random site with
+    exactly one open edge (measured when the site has no column yet, derived
+    when it has one) and walks on while the site it reaches has no column
+    and exactly one open edge, stopping early at random; now and then a
+    measured segment without steps gives a random site a column.  A
+    unicyclic g ends with its cycle solve, which measures the cycle's
+    degree-2 sites.
+    """
+    open_ = {n: set(ns) for n, ns in g.adjacency.items()}
+    columns, schedule = set(), []
+
+    def walk(head: int, measured: bool) -> BranchPeel:
+        seg = [head]
+        while True:
+            (nxt,) = open_[seg[-1]]
+            open_[seg[-1]].clear()
+            open_[nxt].discard(seg[-1])
+            seg.append(nxt)
+            stop = nxt in columns or len(open_[nxt]) != 1 or rng.random() < 0.3
+            columns.add(nxt)
+            if stop:
+                return BranchPeel(head, tuple(seg[:-1]), nxt, measured)
+
+    ref = int(rng.choice(g.nodes))
+    access, path = {ref}, (ref,)
+    columns.add(ref)
+    if len(open_[ref]) == 1 and rng.random() < 0.8:
+        peel = walk(ref, True)
+        path = (*peel.nodes, peel.terminal)
+    while ready := [n for n in g.nodes if len(open_[n]) == 1]:
+        fresh = [n for n in g.nodes if n not in columns]
+        lone = bool(fresh) and rng.random() < 0.05
+        head = int(rng.choice(fresh if lone else ready))
+        measured = head not in columns
+        if measured:
+            access.add(head)
+            columns.add(head)
+        schedule.append(BranchPeel(head, (), head, True) if lone else walk(head, measured))
+    cycle_plan = None
+    if cycle := g.topology.cycle:
+        measured = tuple(n for n in cycle if len(g.adjacency[n]) == 2)
+        access.update(measured)
+        cycle_plan = CyclePlan(cycle, measured, tuple(set(cycle) - set(measured)))
+    return AccessPlan(ref, tuple(sorted(access)), path, tuple(schedule), cycle_plan)
 
 
 # --- direct-sum signal and unpruned Fourier estimator oracles --------------
