@@ -46,10 +46,13 @@ def numbers(value: object, what: str, ndim: int | None = None) -> np.ndarray:
     """``value`` as a float array, optionally of a given number of dimensions."""
     try:
         arr = np.asarray(value, dtype=float)
-        # numpy reads a JSON null as NaN, but a null is no number
-        if np.isnan(arr).any() and np.equal(np.asarray(value, object), None).any():
-            arr = None
     except (TypeError, ValueError, OverflowError):
+        arr = None
+    # numpy reads a JSON null as NaN and true and false as 1 and 0; none is a number
+    if arr is not None and any(
+        v is None or isinstance(v, (bool, np.bool_))
+        for v in np.asarray(value, object).flat
+    ):
         arr = None
     if arr is None or ndim not in (None, arr.ndim):
         raise InputError(f"{what} must be {_FORMS[ndim]}")

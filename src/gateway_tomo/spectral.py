@@ -32,13 +32,21 @@ class HamiltonianParams:
     def __post_init__(self) -> None:
         fields = {}
         for n, b in self.local_fields.items():
-            b = float(b)
+            try:
+                b = float(b)
+            except (TypeError, ValueError, OverflowError):
+                raise InputError(f"local field at site {n} is not a number") from None
             if not math.isfinite(b):
                 raise InputError(f"local field at site {n} is not finite")
             fields[_check_site(n)] = b
         coups = {}
         for (u, v), c in self.couplings.items():
-            c = float(c)
+            try:
+                c = float(c)
+            except (TypeError, ValueError, OverflowError):
+                raise InputError(
+                    f"coupling at edge ({u}, {v}) is not a number"
+                ) from None
             if not math.isfinite(c):
                 raise InputError(f"coupling at edge ({u}, {v}) is not finite")
             key = edge_key(_check_site(u), _check_site(v))

@@ -275,7 +275,8 @@ def test_bad_inputs_exit_two(path3_files, tmp_path, capsys):
     known = tmp_path / "known.json"
     out = tmp_path / "out.json"
     for bad in ([-0.2], {"two": -0.2}, {"2": None}, {"2": "x"}, {"2": -0.2, "02": 0.1},
-                {"2": float("nan")}, {"2": float("inf")}, {"9": 0.0}, {"0": 0.0}):
+                {"2": float("nan")}, {"2": float("inf")}, {"9": 0.0}, {"0": 0.0},
+                {"2": True}):
         known.write_text(json.dumps(bad))
         code = main(["reconstruct", "--graph", str(graph), "--measurement", str(meas),
                      "--known-fields", str(known), "--out", str(out)])
@@ -313,6 +314,7 @@ MALFORMED = {
     "field-400-digits": ("params", {**PARAMS, "b": {**PARAMS["b"], "1": 10**400}}),
     "eigenvalue-text": ("measurement", {**MEAS, "eigenvalues": ["a", 1]}),
     "moduli-ragged": ("measurement", {**MEAS, "moduli": {"1": [0.5, 0.5], "3": [1.0]}}),
+    "moduli-boolean": ("measurement", {**MEAS, "moduli": {"1": [True, False, False]}}),
     "count-text": ("measurement", {**MEAS, "provenance": {"kind": "shots", "count": "5"}}),
     "times-text": (
         "measurement", {**MEAS, "provenance": {"kind": "extrapolated", "times": ["a"]}}

@@ -195,6 +195,8 @@ def test_measurement_json_rejects_unknown_keys(dimer):
         ({**doc, "moduli": moduli, "provenance": {**prov, "by": 1}}, "unknown keys"),
         ({**doc, "moduli": moduli, "provenance": {**prov, "times": 1}}, '"times" must'),
         ({**doc, "moduli": moduli, "eigenvalues": [None, 1.0]}, '"eigenvalues" must'),
+        ({**doc, "moduli": {"1": [True, False]}}, 'measurement "moduli" must'),
+        ({**doc, "moduli": moduli, "eigenvalues": [-1.0, False]}, '"eigenvalues" must'),
     ]:
         with pytest.raises(InputError, match=match):
             measurement_from_json(bad)

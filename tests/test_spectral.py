@@ -72,6 +72,14 @@ def test_params_reject_nonfinite():
         HamiltonianParams({1: float("nan")}, {})
 
 
+def test_params_reject_non_numbers():
+    for bad in ("abc", None, [0.5], 10**400):
+        with pytest.raises(InputError, match="local field at site 1 is not a number"):
+            HamiltonianParams({1: bad, 2: 0.0}, {(1, 2): 1.0})
+        with pytest.raises(InputError, match=r"coupling at edge \(1, 2\) is not a number"):
+            HamiltonianParams({1: 0.0, 2: 0.0}, {(1, 2): bad})
+
+
 # ---------------------------------------------------------- params JSON
 
 
