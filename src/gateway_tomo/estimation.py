@@ -7,15 +7,21 @@ each refined by three-point quadratic interpolation of the log magnitude at
 its highest zero-padded bin, which pushes the frequency and height bias well
 below the raw bin width.  The zero-padded spectrum is evaluated only in each
 peak's window of 19 padded bins: by a direct transform at those bins when
-there are few peaks, by one padded FFT when there are many.  The decay
+there are few peaks, by one padded FFT when there are many.  What depends
+only on the sample count m and the window (the taper, the direct
+transform's block geometry, offset powers and m-th roots of unity) is built
+once per (m, window) and memoised, read-only, for the last ``_GRIDS`` (8)
+pairs: about 1 MB per entry at m = 32768, so at most about 8 MB.  The decay
 extrapolator fits a straight line to log amplitudes over time, per site and
 eigenstate, and reads the time-zero modulus off the intercept.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +32,8 @@ from .measurement import _uniform_step
 _WINDOWS = ("rect", "hann")
 _PAD = 8  # zero-padding factor of the refinement spectrum
 _OFFSETS = np.arange(-_PAD - 1, _PAD + 2)  # a peak's window: 19 padded bins
-_ZOOM_COST = 0.4  # one multiply-add of the window transform, in FFT operations
+_ZOOM_COST = 0.325  # one multiply-add of the window transform, in FFT operations
+_GRIDS = 8  # (m, window) table sets kept; about 1 MB each at m = 32768
 _DRIFT_TOL = 0.2  # rms log residual above which a decay fit is flagged
 
 
@@ -55,39 +62,49 @@ def _unit(turns: np.ndarray, period: int) -> np.ndarray:
     return out
 
 
-def _phases(n: np.ndarray, kept: np.ndarray, m: int) -> np.ndarray:
-    """exp(-2 pi i k n / (_PAD m)) at every window bin k = k0 _PAD + o: (n, P * 19).
+class _Grid(NamedTuple):
+    """The estimator's tables for one sample count m and window, read-only."""
 
-    Each phase is a peak's m-th root of unity, reduced to an exact integer
-    turn before scaling, times an offset factor s^o, the o-th power of the
-    sample's (_PAD m)-th root s (at most _PAD + 1 products from one root).
-    """
-    root = _unit(np.outer(n, kept) % m, m)
-    powers = np.empty((len(n), _PAD + 1), complex)
-    powers[:] = _unit(n % (_PAD * m), _PAD * m)[:, None]
-    np.multiply.accumulate(powers, axis=1, out=powers)  # s^1 .. s^(_PAD + 1)
-    shift = np.hstack([powers[:, ::-1].conj(), np.ones((len(n), 1)), powers])
-    table = root[:, :, None] * shift[:, None, :]
-    return table.reshape(len(n), len(kept) * len(_OFFSETS))
+    taper: np.ndarray  # (m,) window weights
+    taper_sum: float
+    block: int  # B = ceil(sqrt(m)) samples per row of the zoom
+    rows: int  # Q = ceil(m / B) rows
+    starts: np.ndarray  # (B + Q,) the in-row offsets, then the row starts
+    shift: np.ndarray  # (B + Q, 19) s^o, o in _OFFSETS, s a start's (_PAD m)-th root
+    roots: np.ndarray  # (m,) the m m-th roots of unity, exp(-2 pi i k / m)
 
 
-def _zoom_window(tapered: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """Magnitudes of the _PAD-fold padded spectrum in each kept peak's window.
-
-    An exact DTFT at the window bins by blocked angle addition: the m
-    samples form Q rows of B = ceil(sqrt(m)), each row is transformed by
-    its in-row phases in one (Q x B) @ (B x 19P) product, and the rows are
-    summed at their start phases.
-    """
-    m = tapered.size
+@functools.lru_cache(maxsize=_GRIDS)
+def _grid(m: int, window: str) -> _Grid:
+    """Build, once per (m, window), every table that does not read the signal."""
+    taper = np.hanning(m) if window == "hann" else np.ones(m)
     block = math.isqrt(m - 1) + 1
     rows = -(-m // block)
-    x = np.zeros(rows * block, complex)
-    x[:m] = tapered
     starts = np.concatenate((np.arange(block), np.arange(rows) * block))
-    phases = _phases(starts, kept, m)  # the in-row offsets, then the row starts
-    inner = x.reshape(rows, block) @ phases[:block]
-    inner *= phases[block:]
+    powers = np.empty((len(starts), _PAD + 1), complex)
+    powers[:] = _unit(starts % (_PAD * m), _PAD * m)[:, None]
+    np.multiply.accumulate(powers, axis=1, out=powers)  # s^1 .. s^(_PAD + 1)
+    shift = np.hstack([powers[:, ::-1].conj(), np.ones((len(starts), 1)), powers])
+    roots = _unit(np.arange(m), m)
+    for table in (taper, starts, shift, roots):
+        table.flags.writeable = False
+    return _Grid(taper, float(taper.sum()), block, rows, starts, shift, roots)
+
+
+def _zoom_window(x: np.ndarray, kept: np.ndarray, grid: _Grid) -> np.ndarray:
+    """Magnitudes of the _PAD-fold padded spectrum in each kept peak's window.
+
+    An exact DTFT at the window bins by blocked angle addition: ``x`` holds
+    the m tapered samples zero-filled to Q rows of B, each row is
+    transformed by its in-row phases in one (Q x B) @ (B x 19P) product, and
+    the rows are summed at their start phases.  Each phase is a peak's m-th
+    root of unity at an exact integer turn, times the offset factor s^o.
+    """
+    m = grid.roots.size
+    root = grid.roots[np.outer(grid.starts, kept) % m]
+    phases = (root[:, :, None] * grid.shift[:, None, :]).reshape(len(root), -1)
+    inner = x.reshape(grid.rows, grid.block) @ phases[: grid.block]
+    inner *= phases[grid.block :]
     return np.abs(inner.sum(axis=0)).reshape(len(kept), len(_OFFSETS))
 
 
@@ -115,16 +132,27 @@ def estimate_spectrum_fft(
     so they are all that is computed.  A direct transform at those bins
     (``_zoom_window``) costs 19 P m multiply-adds; the padded FFT
     (``_fft_window``) costs about 8 m log2(8 m) operations whatever P is.
-    The direct transform is used when ``_ZOOM_COST`` (0.4) times its count
-    is the smaller, that is for P < 8 log2(8 m) / 7.6: up to 13 peaks at
-    m = 1024, 16 at 8192 and 18 at 32768.  The constant was fitted to the
-    measured crossovers of the two (one BLAS thread, 2-vCPU Xeon VM), which
-    lie near 7, 21 and 30 peaks at those lengths: the count ignores the
-    transform's phase tables, whose work grows as P sqrt(m), so the rule
-    keeps the FFT a little long at large m and the direct transform a
-    little long at small m.  Both fill the same (P x 19) array and agree to
-    rounding.
+    The direct transform is used when ``_ZOOM_COST`` (0.325) times its
+    count is the smaller, that is for P < 8 log2(8 m) / 6.175: up to 16
+    peaks at m = 1024, 20 at 8192 and 23 at 32768.  The constant was fitted
+    to the measured window times of the two (one BLAS thread, 2-vCPU Xeon
+    VM, least of five runs), whose crossovers lie near 10, 24 and 31 peaks
+    at those lengths.  The product's speed per multiply-add grows with m,
+    so one constant keeps the direct transform a little long at small m and
+    the FFT a little long at large m: from m = 1024 to 32768 the rule costs
+    at most 1.39 times the faster of the two (1.9 times at m = 512).  Both
+    fill the same (P x 19) array and agree to rounding.
+
+    The taper, the direct transform's block geometry and its phase tables
+    depend on m and the window alone; they are built on the first call for
+    that pair and kept, read-only, for the last ``_GRIDS`` (8) pairs, about
+    1 MB per pair at m = 32768.  Each call then tapers the signal straight
+    into the zero-filled block buffer, scans the unpadded spectrum for
+    strict circular maxima and gathers the kept peaks' roots of unity from
+    the cached table.  The uniform-grid check reads each call's own times.
     """
+    if isinstance(n_peaks, bool) or not isinstance(n_peaks, (int, np.integer)):
+        raise InputError(f"number of peaks must be an integer, got {n_peaks!r}")
     if n_peaks < 1:
         raise InputError("need at least one peak to look for")
     if window not in _WINDOWS:
@@ -138,16 +166,20 @@ def estimate_spectrum_fft(
         )
     dt = _uniform_step(signal.times)
 
-    win = np.hanning(m) if window == "hann" else np.ones(m)
-    win_sum = float(win.sum())
-    tapered = signal.values * win
+    grid = _grid(m, window)
+    x = np.zeros(grid.rows * grid.block, complex)
+    np.multiply(signal.values, grid.taper, out=x[:m])
 
-    mag = np.abs(np.fft.fft(tapered))
-    candidates = np.nonzero((mag > np.roll(mag, 1)) & (mag > np.roll(mag, -1)))[0]
+    # the magnitudes between copies of their circular neighbours
+    ring = np.empty(m + 2)
+    mag = ring[1:-1]
+    np.abs(np.fft.fft(x[:m]), out=mag)
+    ring[0], ring[-1] = mag[-1], mag[0]
+    candidates = np.flatnonzero((mag > ring[:-2]) & (mag > ring[2:]))
     kept = candidates[np.argsort(mag[candidates])[::-1]][:n_peaks]
 
     zoom = _ZOOM_COST * len(_OFFSETS) * len(kept) * m < _PAD * m * math.log2(_PAD * m)
-    spectrum = (_zoom_window if zoom else _fft_window)(tapered, kept)
+    spectrum = _zoom_window(x, kept, grid) if zoom else _fft_window(x[:m], kept)
     # the highest of the inner 17 bins, first on ties, and its two neighbours
     peak = 1 + np.argmax(spectrum[:, 1:-1], axis=1)
     triple = np.take_along_axis(spectrum, peak[:, None] + [-1, 0, 1], axis=1)
@@ -173,7 +205,7 @@ def estimate_spectrum_fft(
     energies = -omega
     order = np.argsort(energies)
     energies_arr = energies[order]
-    weights_arr = np.exp(log_height[order]) / win_sum
+    weights_arr = np.exp(log_height[order]) / grid.taper_sum
     if len(energies_arr) > 1 and np.any(np.diff(energies_arr) < 0.5 * resolution):
         warnings.append("some peaks are closer than half the spectral resolution")
     estimate = SpectrumEstimate(

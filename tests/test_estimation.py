@@ -95,6 +95,13 @@ def test_estimator_input_validation(dimer):
     sig = return_amplitude(dimer, 1, times)
     with pytest.raises(InputError):
         estimate_spectrum_fft(sig, 0)
+    for n_peaks in (2.5, "2", None, True, np.float64(2.0)):
+        with pytest.raises(InputError, match="integer"):
+            estimate_spectrum_fft(sig, n_peaks)
+    want = estimate_spectrum_fft(sig, 2)
+    got = estimate_spectrum_fft(sig, np.int64(2))
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    assert np.array_equal(got.weights, want.weights)
     with pytest.raises(InputError):
         estimate_spectrum_fft(sig, 2, window="boxcar")
     ragged = TimeSignal(np.array([0.0, 0.4, 1.0, 1.4, 2.0, 2.4, 3.0, 3.4]),
@@ -129,6 +136,16 @@ def _parity_cases():
     yield "noisy-2048", noisy, 7, {}
     times = np.arange(64) * 0.5
     yield "flat", TimeSignal(times, np.ones_like(times, dtype=complex)), 2, {}
+    # the strongest line in the first bin, then in the last, of three
+    m, dt = 256, 0.5
+    times = np.arange(m) * dt
+    weaker = 0.5 * np.exp(-1j * 1.3 * times) + 0.3 * np.exp(1j * 2.1 * times)
+    for name, energy in (("bin-0", 0.0), ("bin-last", 2 * np.pi / (m * dt))):
+        sig = TimeSignal(times, np.exp(-1j * energy * times) + weaker)
+        yield name, sig, 3, {"window": "hann"}
+    # a tone midway between bins 0 and 1: the two tie, so neither is a maximum
+    tie = TimeSignal(times, np.exp(1j * np.pi / (m * dt) * times))
+    yield "half-bin-tie", tie, 1, {}
 
 
 def _check_against_reference(name, sig, n_peaks, kw):
@@ -166,6 +183,46 @@ def test_estimator_matches_unpruned_algorithm():
             assert found == 1
 
 
+def _rolled_peaks(sig, n_peaks, window="rect"):
+    """The tapered signal and its kept bins, scanned against two rolled copies."""
+    m = len(sig.times)
+    win = np.hanning(m) if window == "hann" else np.ones(m)
+    tapered = sig.values * win
+    mag = np.abs(np.fft.fft(tapered))
+    maxima = np.nonzero((mag > np.roll(mag, 1)) & (mag > np.roll(mag, -1)))[0]
+    return tapered, maxima[np.argsort(mag[maxima])[::-1]][:n_peaks]
+
+
+def test_maxima_scan_matches_rolled_comparison(monkeypatch):
+    """The estimator hands its window filler exactly the bins, in the order,
+    that comparing the magnitudes with two rolled copies keeps, including a
+    line in the first or last bin and a tie that forms no maximum."""
+    seen = []
+    for filler in ("_zoom_window", "_fft_window"):
+        fill = getattr(estimation, filler)
+
+        def recording(x, kept, *grid, fill=fill):
+            seen.append(kept.copy())
+            return fill(x, kept, *grid)
+
+        monkeypatch.setattr(estimation, filler, recording)
+    for name, sig, n_peaks, kw in _parity_cases():
+        seen.clear()
+        try:
+            estimate_spectrum_fft(sig, n_peaks, **kw)
+        except FewerPeaksError:
+            pass
+        tapered, want = _rolled_peaks(sig, n_peaks, **kw)
+        assert len(seen) == 1 and np.array_equal(seen[0], want), name
+        mag = np.abs(np.fft.fft(tapered))
+        if name == "bin-0":
+            assert want[0] == 0
+        if name == "bin-last":
+            assert want[0] == len(mag) - 1
+        if name == "half-bin-tie":
+            assert mag[0] == mag[1] == mag.max() and len(want) == 0
+
+
 def _longdouble_window(tapered, kept):
     """|DTFT| of ``tapered`` at the padded window bins, summed in long double."""
     m = len(tapered)
@@ -188,17 +245,18 @@ def test_window_fillers_match_long_double_transform():
     itself is off by 1.3e-12 of its weakest window's own peak."""
     for name, sig, n_peaks, kw in _parity_cases():
         m = len(sig.times)
-        win = np.hanning(m) if kw.get("window") == "hann" else np.ones(m)
-        tapered = sig.values * win
-        mag = np.abs(np.fft.fft(tapered))
-        maxima = np.nonzero((mag > np.roll(mag, 1)) & (mag > np.roll(mag, -1)))[0]
-        kept = maxima[np.argsort(mag[maxima])[::-1]][:n_peaks]
+        tapered, kept = _rolled_peaks(sig, n_peaks, **kw)
         want = _longdouble_window(tapered, kept)
-        scale = want.max()
-        for fill in (estimation._zoom_window, estimation._fft_window):
-            got = fill(tapered, kept)
-            assert got.shape == want.shape, (name, fill.__name__)
-            assert np.all(np.abs(got - want) <= 1e-13 * scale), (name, fill.__name__)
+        scale = want.max(initial=0.0)
+        grid = estimation._grid(m, kw.get("window", "rect"))
+        x = np.zeros(grid.rows * grid.block, complex)
+        x[:m] = tapered
+        for filler, got in (
+            ("zoom", estimation._zoom_window(x, kept, grid)),
+            ("fft", estimation._fft_window(tapered, kept)),
+        ):
+            assert got.shape == want.shape, (name, filler)
+            assert np.all(np.abs(got - want) <= 1e-13 * scale), (name, filler)
 
 
 def test_padded_transform_only_past_the_crossover(monkeypatch):
@@ -225,6 +283,61 @@ def test_padded_transform_only_past_the_crossover(monkeypatch):
     estimate_spectrum_fft(noise, 50)
     assert estimation._PAD * 1024 in lengths
     _check_against_reference("noise-1024", noise, 50, {})
+
+
+def test_window_built_once_per_length(monkeypatch):
+    """A second estimate at the same length reuses the cached taper."""
+    lengths = []
+    hanning = np.hanning
+
+    def recording_hanning(m):
+        lengths.append(m)
+        return hanning(m)
+
+    monkeypatch.setattr(estimation.np, "hanning", recording_hanning)
+    estimation._grid.cache_clear()
+    sig = next(sig for name, sig, *_ in _parity_cases() if name == "trimer-hann")
+    estimate_spectrum_fft(sig, 3, window="hann")
+    assert lengths == [120]
+    lengths.clear()
+    estimate_spectrum_fft(sig, 3, window="hann")
+    assert lengths == []
+
+
+def _outputs(sig, n_peaks, window):
+    est = estimate_spectrum_fft(sig, n_peaks, window=window)
+    arrays = est.eigenvalues.tobytes(), est.weights.tobytes()
+    return arrays, est.resolution, est.warnings
+
+
+def test_cached_tables_give_the_cold_result():
+    """Estimates through a warm cache are bitwise those of a cold one, the
+    cached tables are read-only and no returned array shares their memory."""
+    fmo = next(sig for name, sig, *_ in _parity_cases() if name == "fmo-0")
+    rng = np.random.default_rng(17)
+    times = np.arange(1024) * 0.3
+    tones = np.exp(-1j * np.outer(times, [-1.0, 0.4, 2.2])).sum(axis=1)
+    noise = rng.normal(size=1024) + 1j * rng.normal(size=1024)
+    noisy = TimeSignal(times, tones + 0.3 * noise)
+    calls = [(noisy, 7, "hann"), (fmo, 7, "rect"), (noisy, 7, "hann")]
+    cold = []
+    for call in calls:
+        estimation._grid.cache_clear()
+        cold.append(_outputs(*call))
+    estimation._grid.cache_clear()
+    assert [_outputs(*call) for call in calls] == cold
+    info = estimation._grid.cache_info()
+    assert (info.hits, info.misses) == (1, 2)
+
+    grid = estimation._grid(1024, "hann")
+    tables = (grid.taper, grid.starts, grid.shift, grid.roots)
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[0] = 0
+    est = estimate_spectrum_fft(noisy, 7, window="hann")
+    for out in (est.eigenvalues, est.weights):
+        assert out.flags.writeable
+        assert not any(np.shares_memory(out, table) for table in tables)
 
 
 def test_silent_signal_finds_no_peaks():
