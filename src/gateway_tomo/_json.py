@@ -48,9 +48,10 @@ def numbers(value: object, what: str, ndim: int | None = None) -> np.ndarray:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
         arr = None
-    # numpy reads a JSON null as NaN and true and false as 1 and 0; none is a number
+    # numpy reads a JSON null as NaN, true and false as 1 and 0, and "0.5" as
+    # 0.5; none is a number
     if arr is not None and any(
-        v is None or isinstance(v, (bool, np.bool_))
+        v is None or isinstance(v, (bool, np.bool_, str))
         for v in np.asarray(value, object).flat
     ):
         arr = None

@@ -19,6 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from numbers import Integral
 from typing import Iterable, Mapping
 
 from ._json import strict_object
@@ -49,9 +50,9 @@ class NetworkGraph:
 
     ``nodes`` and ``edges`` are normalized on construction: nodes sorted,
     edges canonicalized to (smaller, larger) and sorted.  ``signs`` may be
-    passed as a mapping from edge to +/-1 (missing edges default to +1) or
-    as a sequence aligned with ``edges``; it is stored aligned with the
-    sorted edge tuple.
+    passed as a mapping from edge to the integer +1 or -1 (missing edges
+    default to +1) or as a sequence aligned with ``edges``; it is stored as
+    Python ints aligned with the sorted edge tuple.
     """
 
     nodes: tuple[int, ...]
@@ -90,14 +91,14 @@ class NetworkGraph:
                 )
             sign_of = dict(zip(keyed, signs)) if signs else {e: 1 for e in keyed}
         for e, s in sign_of.items():
-            if s not in (1, -1):
+            if isinstance(s, bool) or not isinstance(s, Integral) or s not in (1, -1):
                 raise InputError(f"sign of edge {e} must be +1 or -1, got {s!r}")
 
         order = sorted(range(len(keyed)), key=lambda i: keyed[i])
         sorted_edges = tuple(keyed[i] for i in order)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", sorted_edges)
-        object.__setattr__(self, "signs", tuple(sign_of[e] for e in sorted_edges))
+        object.__setattr__(self, "signs", tuple(int(sign_of[e]) for e in sorted_edges))
 
     @classmethod
     def from_edges(

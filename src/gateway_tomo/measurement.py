@@ -55,7 +55,10 @@ class Provenance:
             raise InputError(f"{self.kind!r} provenance does not take a shot count")
         _checked_seed(self.seed)
         if self.times is not None:
-            object.__setattr__(self, "times", tuple(float(t) for t in self.times))
+            times = numbers(self.times, 'provenance "times"', 1)
+            if not np.isfinite(times).all():
+                raise InputError('provenance "times" must be finite')
+            object.__setattr__(self, "times", tuple(times.tolist()))
 
     @property
     def norm_slack(self) -> float:
@@ -79,12 +82,9 @@ def _provenance_to_json(p: Provenance) -> dict:
 
 def _provenance_from_json(data: object) -> Provenance:
     doc = strict_object(data, "provenance", ("kind",), ("count", "seed", "times"))
-    times = doc.get("times")
     return Provenance(
-        doc["kind"],
-        shots=doc.get("count"),
-        seed=doc.get("seed"),
-        times=None if times is None else tuple(numbers(times, 'provenance "times"', 1)),
+        doc["kind"], shots=doc.get("count"), seed=doc.get("seed"),
+        times=doc.get("times"),
     )
 
 
@@ -226,10 +226,10 @@ class DecayModel:
     rates: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        rates = tuple(float(r) for r in self.rates)
-        if any(not math.isfinite(r) or r < 0 for r in rates):
+        rates = numbers(self.rates, "decay rates", 1)
+        if not (np.isfinite(rates) & (rates >= 0)).all():
             raise InputError("decay rates must be finite and nonnegative")
-        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "rates", tuple(rates.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,8 +308,12 @@ def measure_decaying(
         raise InputError(
             f"{len(model.rates)} decay rates for {len(eig.eigenvalues)} eigenstates"
         )
-    if not noise >= 0:  # NaN would switch the noise off unseen
-        raise InputError("noise level must be nonnegative")
+    try:  # NaN would switch the noise off unseen
+        bad = not noise >= 0
+    except (TypeError, ValueError):  # text, None, a list or an array
+        bad = True
+    if bad:
+        raise InputError(f"noise level must be a number >= 0, got {noise!r}")
     _checked_seed(seed)
     times = _time_array(times)
     rates = np.asarray(model.rates)

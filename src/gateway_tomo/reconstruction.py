@@ -4,12 +4,14 @@ Each segment of an access plan starts from a site whose eigenvector column
 is known, measured moduli or a column derived earlier, and applies the site
 sum rule: (E_j - b_n) v_j(n) minus the known neighbor terms leaves a vector
 whose norm is the coupling to the one unresolved neighbor, and dividing by
-it gives that neighbor's column.  Columns seeded from moduli carry a
-per-eigenstate sign, shared by their sign family, that squares never see;
-where two families meet at a site their relative signs are fixed
-componentwise and the families merge.  Each family keeps the running peak
-modulus of its columns, so a merge finds the states it can align in
-O(states).
+it gives that neighbor's column.  `_Recursion.sum_rule` alone evaluates the
+rule: at each segment's first site, at the cycle sites and at the check
+sites; a later step subtracts just the site before.  Columns seeded from
+moduli carry a per-eigenstate sign, shared by their sign family, that
+squares never see; where two families meet at a site their relative signs
+are fixed componentwise and the families merge.  Each family keeps the
+running peak modulus of its columns, so a merge finds the states it can
+align in O(states).
 
 One kernel runs every segment, alone or in a block of measured segments
 that never read each other's columns, one (segments x states) array
@@ -48,17 +50,27 @@ from .spectral import HamiltonianParams, params_to_json
 REFERENCE_FAMILY = "reference"
 
 
-class CoefficientTable:
-    """Working store of eigenvector columns grouped into sign families.
+def _known(g: NetworkGraph, couplings: dict[Edge, float], node: int, skip=()):
+    """Neighbors of ``node`` across resolved edges not in ``skip``, with couplings."""
+    edges = ((u, edge_key(node, u)) for u in g.adjacency[node])
+    return [(u, couplings[e]) for u, e in edges if e in couplings and e not in skip]
 
-    Columns are the rows of ``cols``, in the order their sites were claimed.
-    Every tracked site belongs to exactly one family; a family's columns
-    share a common (unknown) per-eigenstate sign relative to the true gauge,
-    and ``peak`` holds their per-state maximum modulus.
+
+class _Recursion:
+    """The sum-rule recursion of one reconstruction: its columns and results.
+
+    Columns are the rows of ``cols``, in the order their sites were claimed,
+    and ``row`` maps each site to its row.  Every tracked site belongs to
+    exactly one family; a family's columns share a common (unknown)
+    per-eigenstate sign relative to the true gauge, and ``peak`` holds their
+    per-state maximum modulus.  `sum_rule` is the one evaluator of the site
+    sum rule; `advance` calls it at step 0, `_solve_cycle_moments` for the
+    cycle sites and `reconstruct` for the check sites.
     """
 
-    def __init__(self, eigenvalues: np.ndarray):
-        self.eigenvalues = np.asarray(eigenvalues, dtype=float)
+    def __init__(self, g: NetworkGraph, meas: SpectralMeasurement, tol: Tolerances):
+        self.g, self.meas, self.tolerances = g, meas, tol
+        self.eigenvalues = np.asarray(meas.eigenvalues, dtype=float)
         # a full reconstruction claims one row per eigenstate
         self.cols = np.empty((len(self.eigenvalues),) * 2)
         self.row: dict[int, int] = {}
@@ -66,43 +78,33 @@ class CoefficientTable:
         self.families: dict[str, list[int]] = {}
         self.peak: dict[str, np.ndarray] = {}
         self.mismatch_log: dict[str, float] = {}
-
-    def claim(self, nodes, families, block: np.ndarray) -> None:
-        """Store the rows of ``block`` as the columns of unclaimed ``nodes``."""
-        start, stop = len(self.row), len(self.row) + len(nodes)
-        self.cols[start:stop] = block
-        self.row.update(zip(nodes, range(start, stop)))
-        self.node_family.update(zip(nodes, families))
-        for n, family in zip(nodes, families):
-            self.families.setdefault(family, []).append(n)
+        self.fields: dict[int, float] = {}
+        self.couplings: dict[Edge, float] = {}
 
     def vector(self, node: int) -> np.ndarray:
         if node not in self.row:
             raise InputError(f"no eigenvector column known at site {node}")
         return self.cols[self.row[node]]
 
+    def sum_rule(self, own: np.ndarray, known: list) -> tuple[np.ndarray, np.ndarray]:
+        """Fields b = sum E v^2 and vectors (E - b) v - sum c v_u of some sites.
 
-def _known(g: NetworkGraph, couplings: dict[Edge, float], node: int, skip=()):
-    """Neighbors of ``node`` across resolved edges not in ``skip``, with couplings."""
-    edges = ((u, edge_key(node, u)) for u in g.adjacency[node])
-    return [(u, couplings[e]) for u, e in edges if e in couplings and e not in skip]
-
-
-def _subtract_known(table: CoefficientTable, known, r: np.ndarray):
-    """``r`` minus the known neighbors' columns times their couplings."""
-    for u, c in known:
-        r = r - c * table.cols[table.row[u]]
-    return r
-
-
-class _Recursion:
-    """The sum-rule recursion of one reconstruction: its table and results."""
-
-    def __init__(self, g: NetworkGraph, meas: SpectralMeasurement, tol: Tolerances):
-        self.g, self.meas, self.tolerances = g, meas, tol
-        self.table = CoefficientTable(meas.eigenvalues)
-        self.fields: dict[int, float] = {}
-        self.couplings: dict[Edge, float] = {}
+        ``own`` holds their columns as rows, ``known`` per site the claimed
+        (neighbor, coupling) pairs to subtract; sites past its end have none.
+        """
+        b = np.add.reduce(self.eigenvalues * own * own, 1)
+        r = (self.eigenvalues - b[:, None]) * own
+        # one neighbor at a time, in order; several in one reduce over their rows
+        for i, pairs in enumerate(known):
+            if len(pairs) == 1:
+                ((u, c),) = pairs
+                r[i] -= c * self.cols[self.row[u]]
+            elif pairs:
+                us, cs = zip(*pairs)
+                terms = np.reshape(cs, (-1, 1)) * self.cols[[self.row[u] for u in us]]
+                terms[0] = r[i] - terms[0]
+                np.subtract.reduce(terms, 0, out=r[i])
+        return b, r
 
     def advance(self, batch: list[tuple[str, BranchPeel]]) -> None:
         """Run a block of segments, one array operation per recursion step.
@@ -110,12 +112,12 @@ class _Recursion:
         ``batch`` lists (family, segment) of a validated plan in schedule
         order, as `_batches` forms it.  A measured segment seeds ``family``
         from its head's moduli, a derived one continues the family holding
-        its head column.  Step 0 subtracts every known neighbor of each head,
-        a later site only the one before.  Only numeric errors are raised, in
-        the order that running the segments one at a time meets them, and
-        before anything is written.
+        its head column.  Step 0 runs `sum_rule` over every known neighbor of
+        each head, a later site subtracts only the one before.  Only numeric
+        errors are raised, in the order that running the segments one at a
+        time meets them, and before anything is written.
         """
-        g, table, couplings = self.g, self.table, self.couplings
+        g, couplings = self.g, self.couplings
         overlap, floor = self.tolerances.overlap_tol, self.tolerances.coupling_tol**2
         segs = []
         for i, (family, peel) in enumerate(batch):
@@ -124,8 +126,8 @@ class _Recursion:
             elif not peel.nodes:
                 continue
             else:
-                family = table.node_family[peel.head]
-                col, top = table.cols[table.row[peel.head]], table.peak[family]
+                family = self.node_family[peel.head]
+                col, top = self.cols[self.row[peel.head]], self.peak[family]
             # a measured segment without steps arrives at its head at once
             seq = (*peel.nodes, peel.terminal) if peel.nodes else (peel.head,)
             segs.append((seq, family, col, top, i))
@@ -143,7 +145,7 @@ class _Recursion:
         succ = [s[k + 1] for k, a in enumerate(active) for s in seqs[:a]]
         edges = [(u, v) if u < v else (v, u) for u, v in zip(nodes, succ)]
         lead = start[1] if active else 0
-        cols = np.empty((len(nodes) + len(seqs), len(table.eigenvalues)))
+        cols = np.empty((len(nodes) + len(seqs), len(self.eigenvalues)))
         arrivals = cols[len(nodes) :]
         arrivals[:] = heads
         cols[:lead], peak = arrivals[:lead], np.abs(arrivals)
@@ -156,13 +158,11 @@ class _Recursion:
             lo, hi = start[k], start[k + 1]
             v = cols[lo:hi]
             np.maximum(peak[:a], np.abs(v), out=peak[:a])
-            b = b_all[lo:hi] = np.add.reduce(table.eigenvalues * v * v, 1)
-            r = (table.eigenvalues - b[:, None]) * v
+            # step 0 subtracts the heads' known neighbors; before any coupling, none
+            heads = () if k or not couplings else nodes[:a]
+            b_all[lo:hi], r = self.sum_rule(v, [_known(g, couplings, n) for n in heads])
             if k:
                 r -= c[:a, None] * cols[start[k - 1] : start[k - 1] + a]
-            elif couplings:  # before any coupling no head has a known neighbor
-                for j, n in enumerate(nodes[:a]):
-                    r[j] = _subtract_known(table, _known(g, couplings, n), r[j])
             c_sq = np.add.reduce(r * r, 1)
             low = [lo + j for j, x in enumerate(c_sq.tolist()) if x <= floor]
             if low:
@@ -182,8 +182,8 @@ class _Recursion:
         for j in sorted(range(len(seqs)), key=rank.__getitem__):
             at_terminal.setdefault(seqs[j][-1], []).append(j)
         for t, js in at_terminal.items():
-            if t in table.row:
-                dst, ex = table.node_family[t], table.vector(t)
+            if t in self.row:
+                dst, ex = self.node_family[t], self.vector(t)
             else:
                 first = js.pop(0)
                 dst, ex, claimed[first] = fams[first], arrivals[first], True
@@ -191,7 +191,7 @@ class _Recursion:
             if js:
                 eps = np.ones_like(arrivals) if eps is None else eps
                 arriving, inc, base = arrivals[js], peak[js], hold.get(dst)
-                base = table.peak[dst] if base is None else base
+                base = self.peak[dst] if base is None else base
                 mag = np.abs(arriving)
                 relevant = np.maximum(inc, mag) > overlap
                 if not base.min() > overlap:
@@ -212,7 +212,7 @@ class _Recursion:
                     else:
                         owner[j] = into
                         hold.pop(src, None)
-                    if src in table.families:
+                    if src in self.families:
                         moves.append((src, into, e[i]))
 
         for k, a in enumerate(active if eps is not None else ()):
@@ -221,20 +221,21 @@ class _Recursion:
         keep = [t is None for t in tops[:lead]] + [True] * (len(nodes) - lead) + claimed
         sites = nodes + [s[-1] for s in seqs]
         owners = [owner[j] for a in active for j in range(a)] + owner
-        table.claim(
-            list(itertools.compress(sites, keep)),
-            list(itertools.compress(owners, keep)),
-            cols if all(keep) else cols[keep],
-        )
+        new, row0 = list(itertools.compress(sites, keep)), len(self.row)
+        self.cols[row0 : row0 + len(new)] = cols if all(keep) else cols[keep]
+        self.row.update(zip(new, itertools.count(row0)))
+        for n, family in zip(new, itertools.compress(owners, keep)):
+            self.node_family[n] = family
+            self.families.setdefault(family, []).append(n)
         for src, dst, flip in moves:  # a family that held sites before the block
-            moved = table.families.pop(src)
-            table.cols[[table.row[n] for n in moved]] *= flip
-            table.families[dst] += moved
-            table.node_family.update(dict.fromkeys(moved, dst))
-            del table.peak[src]
-        table.peak.update(hold)
+            moved = self.families.pop(src)
+            self.cols[[self.row[n] for n in moved]] *= flip
+            self.families[dst] += moved
+            self.node_family.update(dict.fromkeys(moved, dst))
+            del self.peak[src]
+        self.peak.update(hold)
         for key, value in ((f"merge_{t}", x) for t, x in logs.items()):
-            table.mismatch_log[key] = max(table.mismatch_log.get(key, 0.0), value)
+            self.mismatch_log[key] = max(self.mismatch_log.get(key, 0.0), value)
         self.fields.update(zip(nodes, b_all.tolist()))
         self.couplings.update(zip(edges, c_all.tolist()))
 
@@ -279,42 +280,30 @@ class CycleDiagnostics:
 
 
 def _solve_cycle_moments(
-    g: NetworkGraph,
-    plan: CyclePlan,
-    table: CoefficientTable,
-    meas: SpectralMeasurement,
-    *,
-    fields: dict[int, float],
-    couplings: dict[Edge, float],
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> tuple[dict[Edge, float], CycleDiagnostics, tuple[str, ...]]:
-    """Solve for squared cycle couplings from site central moments.
+    run: _Recursion, plan: CyclePlan
+) -> tuple[CycleDiagnostics, tuple[str, ...]]:
+    """Solve the cycle's fields and couplings into ``run`` from central moments.
 
     Each cycle site contributes one second-moment equation: the sum of the
-    squared couplings on its two cycle edges, after removing known tree
-    contributions.  Odd cycles make that system full rank.  Even cycles
-    have an alternating null vector, so third-moment equations, whose
-    coefficients are field differences across the cycle edges, are added;
-    if the fields carry no differences the system stays rank deficient and
-    the cycle cannot be resolved.
+    squared couplings on its two cycle edges, the squared norm of its
+    `sum_rule` vector less its known tree neighbors.  Odd cycles make that
+    system full rank.  Even cycles have an alternating null vector, so
+    third-moment equations, whose coefficients are field differences across
+    the cycle edges, are added; if the fields carry no differences the
+    system stays rank deficient and the cycle cannot be resolved.
     """
-    eigs, cyc, length = table.eigenvalues, plan.cycle, len(plan.cycle)
+    g, fields, tolerances = run.g, run.fields, run.tolerances
+    cyc, length = plan.cycle, len(plan.cycle)
     # edge i runs from cyc[i] to the next site, so site i meets edges i - 1 and i
     cyc_edges = list(map(edge_key, cyc, (*cyc[1:], cyc[0])))
     measured = set(plan.measured)
-    tree = {n: _known(g, couplings, n, cyc_edges) for n in cyc}
+    tree = [_known(g, run.couplings, n, cyc_edges) for n in cyc]
     vecs = np.array(
-        [meas.moduli_of(n) if n in measured else table.vector(n) for n in cyc]
+        [run.meas.moduli_of(n) if n in measured else run.vector(n) for n in cyc]
     )
-    weights = vecs * vecs
-    b = np.add.reduce(eigs * vecs * vecs, 1)
+    b, r = run.sum_rule(vecs, tree)
     fields.update(zip(cyc, b.tolist()))
-    dev = eigs - b[:, None]
-    rhs = np.add.reduce(dev**2 * weights, 1)
-    for i, n in enumerate(cyc):
-        if n not in measured:
-            r = _subtract_known(table, tree[n], dev[i] * vecs[i])
-            rhs[i] = np.add.reduce(r * r)
+    rhs = np.add.reduce(r * r, 1)
     at = np.arange(length)
     matrix = np.eye(length)
     matrix[at, at - 1] = 1.0
@@ -322,9 +311,9 @@ def _solve_cycle_moments(
     moments_used = ["second"]
     if length % 2 == 0:
         moments_used.append("third")
-        third = np.add.reduce(dev**3 * weights, 1)
+        third = np.add.reduce((run.eigenvalues - b[:, None]) ** 3 * (vecs * vecs), 1)
         for i, n in enumerate(cyc):
-            for u, c in tree[n]:
+            for u, c in tree[i]:
                 third[i] -= c * c * (fields[u] - fields[n])
         # row i weighs edge i - 1 by the field step back, edge i by the one ahead
         rows = np.zeros((length, length))
@@ -351,21 +340,19 @@ def _solve_cycle_moments(
     fit_residual = float(np.linalg.norm(matrix @ solution - rhs))
 
     floor = -tolerances.slack_factor * max(float(solution.max()), 1.0)
-    cycle_couplings: dict[Edge, float] = {}
     for e, x in zip(cyc_edges, solution.tolist()):
         if x < floor:
             raise InconsistentDataError(
                 f"squared coupling on cycle edge {e} solved to {x:.3e}; "
                 "the moment data contradicts the declared topology"
             )
-        x = max(x, 0.0)
-        cycle_couplings[e] = g.sign_of[e] * math.sqrt(x)
+        run.couplings[e] = g.sign_of[e] * math.sqrt(max(x, 0.0))
 
     diagnostics = CycleDiagnostics(
         condition, tuple(moments_used), int(rank), float(solution.min()), fit_residual
     )
     flags = ("RankAugmented",) if "third" in moments_used else ()
-    return cycle_couplings, diagnostics, flags
+    return diagnostics, flags
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,8 +409,7 @@ def reconstruct(
             raise InputError(f"supplied field at site {n} is not a finite number")
 
     run = _Recursion(g, meas, tolerances)
-    table, fields, couplings = run.table, run.fields, run.couplings
-    residuals: dict[str, float] = {}
+    fields, couplings = run.fields, run.couplings
     path = plan.reference_path or (plan.reference,)
     segments = [(REFERENCE_FAMILY, BranchPeel(path[0], path[:-1], path[-1], True))]
     segments += [(f"branch:{p.head}", p) for p in plan.peel_schedule]
@@ -438,31 +424,19 @@ def reconstruct(
 
     diagnostics, flags = None, ()
     if plan.cycle_plan is not None:
-        cycle_couplings, diagnostics, flags = _solve_cycle_moments(
-            g, plan.cycle_plan, table, meas,
-            fields=fields, couplings=couplings, tolerances=tolerances,
-        )
-        couplings.update(cycle_couplings)
+        diagnostics, flags = _solve_cycle_moments(run, plan.cycle_plan)
 
-    # leftover equations become consistency checks: every neighbor column is
-    # gathered at once and summed per site, each site leading its own group
-    # with a zero term so that no group is empty
+    # leftover equations become consistency checks
+    residuals: dict[str, float] = {}
     checks = plan.check_sites(g)
     if checks:
-        eigs = table.eigenvalues
-        own = np.array([table.vector(n) for n in checks])
-        b = (eigs * own * own).sum(axis=1)
+        own = np.array([run.vector(n) for n in checks])
+        b, r = run.sum_rule(own, [_known(g, couplings, n) for n in checks])
         fields.update(zip(checks, b.tolist()))
-        known = [[(n, 0.0), *_known(g, couplings, n)] for n in checks]
-        rows = [table.row[u] for k in known for u, _ in k]
-        cs = np.array([c for k in known for _, c in k])
-        starts = [0, *itertools.accumulate(len(k) for k in known[:-1])]
-        r = (eigs - b[:, None]) * own
-        r -= np.add.reduceat(cs[:, None] * table.cols[rows], starts)
         sites = [f"site_{n}" for n in checks]
-        residuals.update(zip(sites, (r * r).sum(axis=1).tolist()))
+        residuals.update(zip(sites, np.add.reduce(r * r, 1).tolist()))
 
-    for key, value in table.mismatch_log.items():
+    for key, value in run.mismatch_log.items():
         residuals[key] = max(residuals.get(key, 0.0), value)
 
     for n, b in supplied.items():

@@ -320,6 +320,9 @@ MALFORMED = {
         "measurement", {**MEAS, "provenance": {"kind": "extrapolated", "times": ["a"]}}
     ),
     "signal-text": ("signal", {**SIGNAL, "real": [1.0, "x"]}),
+    "moduli-numeric-text": (
+        "measurement", {**MEAS, "moduli": {"1": ["0.5", 0.5**0.5, 0.5]}}
+    ),
     "amplitudes-ragged": ("series", {**SERIES, "amplitudes": {"1": [[0.7, 0.7], [0.6]]}}),
     "shots-inf": ("shots", "inf"),
     "shots-fraction": ("shots", "1.5"),

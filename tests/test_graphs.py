@@ -102,6 +102,13 @@ def test_bad_sign_values_rejected():
         NetworkGraph.from_edges([(1, 2)], signs={(1, 2): 0})
     with pytest.raises(InputError):
         NetworkGraph.from_edges([(1, 2)], signs={(1, 3): 1})
+    for sign in (True, False, -1.0, 1.0, "1", None, np.bool_(True)):
+        with pytest.raises(InputError, match=r"sign of edge \(1, 2\) must be"):
+            NetworkGraph.from_edges([(1, 2), (2, 3)], signs={(1, 2): sign})
+        with pytest.raises(InputError, match=r"sign of edge \(2, 3\) must be"):
+            NetworkGraph((1, 2, 3), ((1, 2), (2, 3)), (1, sign))
+    g = NetworkGraph.from_edges([(1, 2), (2, 3)], signs={(1, 2): np.int64(-1)})
+    assert g.signs == (-1, 1) and all(type(s) is int for s in g.signs)
 
 
 # ------------------------------------------------------------------ JSON
@@ -130,6 +137,9 @@ def test_graph_json_rejects_malformed_edge():
         graph_from_json({"nodes": [1, 2], "edges": [{"u": 1}]})
     with pytest.raises(InputError):
         graph_from_json({"nodes": [1, 2], "edges": [{"u": 1, "v": 2, "sign": 2}]})
+    for sign in (True, -1.0):
+        with pytest.raises(InputError, match=r"sign of edge \(1, 2\) must be"):
+            graph_from_json({"nodes": [1, 2], "edges": [{"u": 1, "v": 2, "sign": sign}]})
     with pytest.raises(InputError, match="graph edge 0 must be a JSON object"):
         graph_from_json({"nodes": [1, 2], "edges": [[1, 2]]})
     with pytest.raises(InputError, match="graph edge 0 has unknown keys"):

@@ -196,6 +196,7 @@ def test_measurement_json_rejects_unknown_keys(dimer):
         ({**doc, "moduli": moduli, "provenance": {**prov, "times": 1}}, '"times" must'),
         ({**doc, "moduli": moduli, "eigenvalues": [None, 1.0]}, '"eigenvalues" must'),
         ({**doc, "moduli": {"1": [True, False]}}, 'measurement "moduli" must'),
+        ({**doc, "moduli": {"1": ["0.6", "0.8"]}}, 'measurement "moduli" must'),
         ({**doc, "moduli": moduli, "eigenvalues": [-1.0, False]}, '"eigenvalues" must'),
     ]:
         with pytest.raises(InputError, match=match):
@@ -246,6 +247,26 @@ def test_decay_input_validation(dimer):
         measure_decaying(dimer, [1], [0.0], DecayModel((0.1, 0.1)))
 
 
+@pytest.mark.parametrize("value", [None, "a", object(), [[]], math.nan])
+@pytest.mark.parametrize("field", ["rates", "times", "noise"])
+def test_non_number_inputs_raise_input_error_naming_their_field(field, value, dimer):
+    """Each value, in the field's own place or as one of its numbers."""
+    decay = DecayModel((0.1, 0.1))
+    calls = {
+        "rates": [lambda: DecayModel(value), lambda: DecayModel((0.1, value))],
+        "times": [
+            lambda: Provenance("exact", times=(0.0, value)),
+            lambda: Provenance("extrapolated", times=value),
+        ],
+        "noise": [lambda: measure_decaying(dimer, [1], [0.0, 1.0], decay, noise=value)],
+    }[field]
+    if value is None and field == "times":  # a record without sample times
+        assert calls.pop()().times is None
+    for call in calls:
+        with pytest.raises(InputError, match=field):
+            call()
+
+
 def test_decay_series_json_roundtrip(dimer):
     series = measure_decaying(
         dimer, [1, 2], [0.0, 5.0, 10.0], DecayModel((0.01, 0.02))
@@ -259,6 +280,7 @@ def test_decay_series_json_roundtrip(dimer):
         ([doc], "decay series document must be a JSON object"),
         ({**doc, "times": None}, 'decay series "times" must be'),
         ({**doc, "eigenvalues": 1.0}, 'decay series "eigenvalues" must be a list'),
+        ({**doc, "eigenvalues": ["1", *doc["eigenvalues"][1:]]}, '"eigenvalues" must'),
         ({k: v for k, v in doc.items() if k != "times"}, 'needs "times"'),
         ({**doc, "amplitudes": {"1": [[0.5]], "x": [[0.5]]}}, "'x' is not a site label"),
         ({**doc, "amplitudes": {"1": [[0.5]], "+1": [[0.5]]}}, "names site 1 more"),
@@ -324,6 +346,7 @@ def test_signal_json_roundtrip():
         ([doc], "signal document must be a JSON object"),
         ({"times": doc["times"], "real": doc["real"]}, 'signal document needs "imag"'),
         ({**doc, "imag": [0.5, [0.5]]}, 'signal "imag" must be a rectangular array'),
+        ({**doc, "real": ["1", *doc["real"][1:]]}, 'signal "real" must be'),
     ]:
         with pytest.raises(InputError, match=match):
             signal_from_json(bad)
