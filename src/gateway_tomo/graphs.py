@@ -386,7 +386,7 @@ class AccessPlan:
         may be reached again, where families merge.  A cycle site must have
         just its cycle edges open, a measured one must be an accessed leaf of
         the cycle, an attachment must have a column.  No edge may stay open.
-        ``reconstruct`` runs this on every plan; no other code checks it.
+        Only ``reconstruct`` runs it, once per (g, plan), as it compiles a schedule.
         """
         access = set(self.access_set)
         if not access <= g.adjacency.keys():
@@ -477,8 +477,7 @@ def compute_access_plan(
     head, closing each edge it crosses, until it reaches a stop site or a
     dead end.  A branching site that may fire heads a derived segment once
     exactly one of its edges is still open.  The plan is valid by
-    construction and not re-checked here: ``reconstruct`` validates every
-    plan it receives.
+    construction; ``reconstruct`` validates it once per (g, plan).
     """
     ok, reason = is_estimable(g)
     if not ok:

@@ -18,6 +18,7 @@ from gateway_tomo import (
     BranchPeel,
     GatewayTomoError,
     HamiltonianParams,
+    IllConditionedError,
     InputError,
     NearZeroDivisionError,
     NetworkGraph,
@@ -37,7 +38,8 @@ from gateway_tomo import (
     reconstruct,
     result_to_json,
 )
-from gateway_tomo.reconstruction import _batches, _Recursion
+from gateway_tomo.graphs import CyclePlan
+from gateway_tomo.reconstruction import _Block, _Recursion, _schedule
 from util import (
     generic_system,
     max_param_error,
@@ -188,15 +190,9 @@ def test_star_aggressive_roundtrip(rng):
 def run_blocks(g, plan, meas):
     """The recursion of ``reconstruct`` up to the cycle solve, for inspection."""
     run = _Recursion(g, meas, DEFAULT_TOLERANCES)
-    for block in _batches(plan_segments(plan)):
+    for block in _schedule(g, plan).blocks:
         run.advance(block)
     return run
-
-
-def plan_segments(plan):
-    path = plan.reference_path or (plan.reference,)
-    segments = [("reference", BranchPeel(path[0], path[:-1], path[-1], True))]
-    return segments + [(f"branch:{p.head}", p) for p in plan.peel_schedule]
 
 
 def test_merge_aligns_incoming_family(rng):
@@ -254,8 +250,8 @@ def test_merge_refuses_weak_shared_overlap():
         {2: [0, 1, 2, 1, 0, 0], 5: [1, 2, 3, 4, 5, 6], 7: [3, 2, 3, 4, 2, 3]}
     )
     run = _Recursion(g, meas, DEFAULT_TOLERANCES)
-    (block,) = _batches(plan_segments(plan))
-    assert len(block) == 3
+    (block,) = _schedule(g, plan).blocks
+    assert len(block.batch) == 3
     with pytest.raises(SignAmbiguityError) as info:
         run.advance(block)
     assert info.value.node == 1
@@ -310,11 +306,17 @@ def test_segment_walking_back_to_its_own_head_is_refused(rng):
 
 def test_batches_keep_a_segment_ending_where_an_earlier_block_reached_alone():
     ref = ("reference", BranchPeel(1, (1, 2), 3, True))
-    derived = ("branch:9", BranchPeel(3, (3,), 4, False))
+    derived = ("branch:3", BranchPeel(3, (3,), 4, False))
     late = ("branch:5", BranchPeel(5, (5,), 4, True))
     leg = ("branch:7", BranchPeel(7, (7,), 6, True))
     legs = [(f"branch:{h}", BranchPeel(h, (h,), 10, True)) for h in (8, 9)]
-    blocks = list(_batches([ref, derived, leg, late, *legs]))
+    # the path 1-2-3-4-5 with the stray edges 6-7, 8-10 and 9-10, which
+    # `validate` accepts: it checks the gateway rule, not connectivity
+    edges = [(1, 2), (2, 3), (3, 4), (4, 5), (6, 7), (8, 10), (9, 10)]
+    g = NetworkGraph.from_edges(edges)
+    schedule = tuple(p for _, p in (derived, leg, late, *legs))
+    plan = AccessPlan(1, (1, 5, 7, 8, 9), (1, 2, 3), schedule)
+    blocks = [list(block.batch) for block in _schedule(g, plan).blocks]
     assert blocks == [[ref], [derived], [leg], [late], legs]
 
 
@@ -386,11 +388,11 @@ def test_block_aligns_states_only_the_arriving_column_carries():
     g, plan, meas = two_leg_spider_measurement(
         {2: [3, 2, 1, 4, 1, 2], 5: [1e-18, 2, 1, 4, 3, 4], 7: [3, 2, 3, 4, 2, 3]}
     )
-    (block,) = _batches(plan_segments(plan))
+    (block,) = _schedule(g, plan).blocks
     fast, slow = (_Recursion(g, meas, DEFAULT_TOLERANCES) for _ in range(2))
     fast.advance(block)
-    for segment in block:
-        slow.advance([segment])
+    for segment in block.batch:
+        slow.advance(_Block(slow, [segment]))
     assert 0 < abs(slow.vector(5)[0]) < DEFAULT_TOLERANCES.overlap_tol
     assert slow.vector(5)[0] < 0 < meas.moduli_of(5)[0]
     for n in slow.row:
@@ -490,11 +492,11 @@ def test_block_matches_running_one_segment_at_a_time():
         shots = 10**4 if trial % 3 == 0 else 10**8
         meas = measure_shots(eig, plan.access_set, shots, seed=trial)
         fast, slow = (_Recursion(g, meas, DEFAULT_TOLERANCES) for _ in range(2))
-        for block in _batches(plan_segments(plan)):
+        for block in _schedule(g, plan).blocks:
             before = snapshot(fast)
             try:
-                for segment in block:
-                    slow.advance([segment])
+                for segment in block.batch:
+                    slow.advance(_Block(slow, [segment]))
             except GatewayTomoError:
                 # the block raises too and leaves everything untouched
                 with pytest.raises(GatewayTomoError):
@@ -504,7 +506,7 @@ def test_block_matches_running_one_segment_at_a_time():
                 break
             fast.advance(block)
             compared += 1
-            several += len(block) > 1
+            several += len(block.batch) > 1
             assert fast.fields == slow.fields and fast.couplings == slow.couplings
             assert fast.mismatch_log == slow.mismatch_log
             assert fast.node_family == slow.node_family
@@ -660,3 +662,85 @@ def test_result_json_is_a_complete_record(rng, fmo_graph):
     assert doc["flags"] == ["RankAugmented"]
     assert doc["cycle_diagnostics"]["moments_used"] == ["second", "third"]
     assert all(isinstance(v, float) for v in doc["residuals"].values())
+
+
+# ------------------------------------------------------- compiled schedule
+
+
+def count_validations(monkeypatch):
+    """Empty the schedule cache and record every `AccessPlan.validate` call."""
+    calls, validate = [], AccessPlan.validate
+
+    def counted(plan, g):
+        calls.append(plan)
+        return validate(plan, g)
+
+    monkeypatch.setattr(AccessPlan, "validate", counted)
+    _schedule.cache_clear()
+    return calls
+
+
+def test_schedule_is_validated_once_per_graph_and_plan(monkeypatch, rng, fmo_graph):
+    g, params, plan, eig, meas = generic_system(rng, fmo_graph)
+    calls = count_validations(monkeypatch)
+    first = result_to_json(reconstruct(g, plan, meas))
+    # an equal graph and an equal plan, built afresh, share the schedule
+    twin = NetworkGraph(g.nodes, g.edges, g.signs)
+    twin_plan = compute_access_plan(twin)
+    assert twin_plan == plan and twin_plan is not plan
+    for graph, access in [(g, plan), (twin, twin_plan)] * 2:
+        assert result_to_json(reconstruct(graph, access, meas)) == first
+    assert calls == [plan]
+    assert _schedule.cache_info().misses == 1
+
+
+def test_invalid_plan_raises_on_every_call(monkeypatch):
+    g, plan, meas = claimed_twice_case()
+    calls = count_validations(monkeypatch)
+    for _ in range(3):
+        with pytest.raises(InputError, match="site 5 claimed twice"):
+            reconstruct(g, plan, meas)
+    assert len(calls) == 3
+    assert _schedule.cache_info().currsize == 0
+
+
+def test_cached_schedule_still_applies_each_calls_tolerances(rng, fmo_graph):
+    g, params, plan, eig, meas = generic_system(rng, fmo_graph)
+    _schedule.cache_clear()
+    loose = result_to_json(reconstruct(g, plan, meas))
+    with pytest.raises(NearZeroDivisionError):
+        reconstruct(g, plan, meas, tolerances=Tolerances(coupling_tol=math.inf))
+    # a condition number is at least 1
+    with pytest.raises(IllConditionedError):
+        reconstruct(g, plan, meas, tolerances=Tolerances(condition_limit=0.5))
+    assert result_to_json(reconstruct(g, plan, meas)) == loose
+    assert _schedule.cache_info().misses == 1
+
+
+def test_supplied_fields_are_compared_per_call_on_a_cached_schedule():
+    g, params, plan, meas = exact_setup(
+        [(1, 2), (2, 3)], {1: 0.3, 2: -0.2, 3: 0.5}, {(1, 2): 0.8, (2, 3): 1.1}
+    )
+    _schedule.cache_clear()
+    cold = reconstruct(g, plan, meas, known_fields={2: 0.3})
+    warm = reconstruct(g, plan, meas, known_fields={2: 0.3})
+    assert warm.residuals == cold.residuals
+    assert warm.residuals["field_supplied_2"] == pytest.approx(0.5, abs=1e-9)
+    other = reconstruct(g, plan, meas, known_fields={1: 0.3, 3: 0.0})
+    assert other.residuals["field_supplied_1"] < 1e-12
+    assert other.residuals["field_supplied_3"] == pytest.approx(0.5, abs=1e-9)
+    assert "field_supplied_2" not in other.residuals
+    assert _schedule.cache_info().misses == 1
+
+
+def test_plan_built_from_lists_reconstructs_uncached(rng, fmo_graph):
+    g, params, plan, eig, meas = generic_system(rng, fmo_graph)
+    parts = plan.cycle_plan
+    cycle = CyclePlan(list(parts.cycle), list(parts.measured), list(parts.attachments))
+    path = list(plan.reference_path)
+    listed = AccessPlan(plan.reference, list(plan.access_set), path, cycle_plan=cycle)
+    with pytest.raises(TypeError):
+        hash(listed)
+    assert result_to_json(reconstruct(g, listed, meas)) == result_to_json(
+        reconstruct(g, plan, meas)
+    )

@@ -1,0 +1,20 @@
+"""Rules the package source itself must keep."""
+
+import ast
+from pathlib import Path
+
+import gateway_tomo
+
+SOURCES = sorted(Path(gateway_tomo.__file__).parent.glob("*.py"))
+
+
+def test_package_has_no_assert_statements():
+    """Input checks must still run under ``python -O``, which drops ``assert``."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(SOURCES) > 5
+    assert found == []
