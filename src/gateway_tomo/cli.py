@@ -37,9 +37,9 @@ from .graphs import (
 )
 from .measurement import (
     DecayModel,
+    Provenance,
     decay_series_from_json,
     decay_series_to_json,
-    is_shot_count,
     measure_decaying,
     measure_exact,
     measure_shots,
@@ -88,13 +88,10 @@ def _write_json(path: str, payload: dict) -> None:
 
 def parse_shots(text: str) -> int:
     """A ``--shots`` value: a whole number in [1, 2**63), such as 1e6."""
-    try:
-        value = float(text)  # so that 1e6 is read as a count
-    except ValueError:
-        value = 0.0
-    if not is_shot_count(value):
-        raise argparse.ArgumentTypeError(f"bad shot count {text!r}")
-    return int(value)
+    try:  # float, so that 1e6 is read as a count
+        return int(Provenance("shots", shots=float(text)).shots)
+    except ValueError:  # InputError is one
+        raise argparse.ArgumentTypeError(f"bad shot count {text!r}") from None
 
 
 def _parse_int_list(text: str) -> list[int]:

@@ -6,9 +6,10 @@ the cycle solver, so experiments can tighten or loosen thresholds in one place.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
-from .errors import InputError
+from ._json import scalar
 
 
 @dataclass(frozen=True)
@@ -42,14 +43,8 @@ class Tolerances:
     condition_limit: float = 1e10
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            try:  # NaN would switch its check off unseen
-                bad = not value >= 0
-            except (TypeError, ValueError):  # text, None, a list or an array
-                bad = True
-            if bad:
-                raise InputError(f"tolerance {f.name} is not a number >= 0: {value!r}")
+        for f in fields(self):  # NaN would switch its check off unseen
+            scalar(getattr(self, f.name), "tolerance {}", f.name, low=0, high=math.inf)
 
 
 DEFAULT_TOLERANCES = Tolerances()

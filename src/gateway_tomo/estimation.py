@@ -25,9 +25,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._json import scalar
 from .errors import FewerPeaksError, InputError
 from .measurement import DecaySeries, Provenance, SpectralMeasurement, TimeSignal
-from .measurement import _uniform_step
 
 _WINDOWS = ("rect", "hann")
 _PAD = 8  # zero-padding factor of the refinement spectrum
@@ -149,12 +149,9 @@ def estimate_spectrum_fft(
     1 MB per pair at m = 32768.  Each call then tapers the signal straight
     into the zero-filled block buffer, scans the unpadded spectrum for
     strict circular maxima and gathers the kept peaks' roots of unity from
-    the cached table.  The uniform-grid check reads each call's own times.
+    the cached table.  The signal's own uniform-grid check gives its step.
     """
-    if isinstance(n_peaks, bool) or not isinstance(n_peaks, (int, np.integer)):
-        raise InputError(f"number of peaks must be an integer, got {n_peaks!r}")
-    if n_peaks < 1:
-        raise InputError("need at least one peak to look for")
+    scalar(n_peaks, "number of peaks", integer=True, low=1)
     if window not in _WINDOWS:
         raise InputError(f"window must be one of {_WINDOWS}, got {window!r}")
     m = len(signal.times)
@@ -164,7 +161,7 @@ def estimate_spectrum_fft(
             f"signal with {m} samples is too short for {n_peaks} peaks; "
             f"need at least {needed}"
         )
-    dt = _uniform_step(signal.times)
+    dt = signal.dt
 
     grid = _grid(m, window)
     x = np.zeros(grid.rows * grid.block, complex)

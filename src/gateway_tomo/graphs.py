@@ -22,7 +22,7 @@ from functools import cached_property
 from numbers import Integral
 from typing import Iterable, Mapping
 
-from ._json import strict_object
+from ._json import _check_site, strict_object
 from .errors import CapabilityError, InputError, NotEstimableError
 
 Edge = tuple[int, int]
@@ -34,14 +34,6 @@ def edge_key(u: int, v: int) -> Edge:
     if u == v:
         raise InputError(f"self-loop at site {u} is not allowed")
     return (u, v) if u < v else (v, u)
-
-
-def _check_site(n: object) -> int:
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise InputError(f"site labels must be integers, got {n!r}")
-    if n < 1:
-        raise InputError(f"site labels must be positive, got {n}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -318,8 +310,16 @@ def is_estimable(g: NetworkGraph) -> tuple[bool, str | None]:
 # ---------------------------------------------------------------------------
 
 
+class _Tuples:
+    """Stores the fields named in ``_SEQUENCES`` as tuples: every plan is a cache key."""
+
+    def __post_init__(self) -> None:
+        for name in self._SEQUENCES:
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+
+
 @dataclass(frozen=True)
-class BranchPeel:
+class BranchPeel(_Tuples):
     """One reconstruction segment.
 
     ``nodes`` lists the sites whose sum-rule equations this segment consumes,
@@ -333,19 +333,21 @@ class BranchPeel:
     nodes: tuple[int, ...]
     terminal: int
     seeded_by_measurement: bool
+    _SEQUENCES = ("nodes",)
 
 
 @dataclass(frozen=True)
-class CyclePlan:
+class CyclePlan(_Tuples):
     """Cycle sites split by how their moment data is obtained."""
 
     cycle: tuple[int, ...]
     measured: tuple[int, ...]
     attachments: tuple[int, ...]
+    _SEQUENCES = ("cycle", "measured", "attachments")
 
 
 @dataclass(frozen=True)
-class AccessPlan:
+class AccessPlan(_Tuples):
     """Everything reconstruction needs to know about measurement layout.
 
     ``reference_path`` runs from the reference site to the first branching
@@ -362,6 +364,7 @@ class AccessPlan:
     peel_schedule: tuple[BranchPeel, ...] = ()
     cycle_plan: CyclePlan | None = None
     aggressive: bool = False
+    _SEQUENCES = ("access_set", "reference_path", "peel_schedule")
 
     @property
     def consumed_sites(self) -> tuple[int, ...]:

@@ -12,12 +12,12 @@ the raw signal the spectrum estimator consumes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from ._json import numbers, site_keyed, strict_object
+from ._json import numbers, scalar, site_keyed, strict_object
 from .errors import InputError
 from .spectral import EigenSystem
 
@@ -44,16 +44,13 @@ class Provenance:
             raise InputError(
                 f"provenance kind must be one of {_KINDS}, got {self.kind!r}"
             )
-        if self.kind == "shots":
-            try:  # text, null and huge ints have no root; NaN fails both bounds
-                bad = not 1 <= math.sqrt(self.shots) < math.inf
-            except (TypeError, ValueError, OverflowError):
-                bad = True
-            if bad or isinstance(self.shots, bool):
-                raise InputError("shot provenance needs a positive shot count")
+        if self.kind == "shots":  # numpy's multinomial takes counts below 2**63
+            scalar(self.shots, "shot count {!r}", self.shots, whole=True, low=1,
+                   high=2**63 - 1)
         elif self.shots is not None:
             raise InputError(f"{self.kind!r} provenance does not take a shot count")
-        _checked_seed(self.seed)
+        if self.seed is not None:  # numpy's seed domain
+            scalar(self.seed, "seed {!r}", self.seed, integer=True, low=0)
         if self.times is not None:
             times = numbers(self.times, 'provenance "times"', 1)
             if not np.isfinite(times).all():
@@ -65,7 +62,7 @@ class Provenance:
         if self.kind == "exact":
             return 1e-8
         if self.kind == "shots":
-            return 3.0 / math.sqrt(self.shots)
+            return 3.0 / np.sqrt(self.shots)
         return 0.1
 
 
@@ -102,16 +99,12 @@ class SpectralMeasurement:
     provenance: Provenance
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.eigenvalues, dtype=float)
-        mods = np.asarray(self.moduli, dtype=float)
+        vals = numbers(self.eigenvalues, "eigenvalues", 1)
+        mods = numbers(self.moduli, "moduli")
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "moduli", mods)
-        if vals.ndim != 1:
-            raise InputError("eigenvalues must be a flat list")
-        if not np.isfinite(vals).all():
-            raise InputError("eigenvalues must be finite")
-        if (np.diff(vals) <= 0).any():
-            raise InputError("eigenvalues must be strictly increasing")
+        if not (np.isfinite(vals).all() and (np.diff(vals) > 0).all()):
+            raise InputError("eigenvalues must be finite and strictly increasing")
         if mods.shape != (len(self.nodes), len(vals)):
             raise InputError(
                 f"moduli shape {mods.shape} does not match "
@@ -178,23 +171,6 @@ def measure_exact(eig: EigenSystem, nodes: Iterable[int]) -> SpectralMeasurement
     )
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _checked_seed(seed: object) -> int | None:
-    """``seed`` if it is None or a nonnegative integer, numpy's seed domain."""
-    if seed is not None and not (_is_int(seed) and seed >= 0):
-        raise InputError(f"seed {seed!r} is not a nonnegative integer")
-    return seed
-
-
-def is_shot_count(count: object) -> bool:
-    """Whether ``count`` is a whole number in [1, 2**63), numpy's multinomial cap."""
-    real = _is_int(count) or isinstance(count, (float, np.floating))
-    return real and 1 <= count < 2**63 and float(count).is_integer()
-
-
 def measure_shots(
     eig: EigenSystem, nodes: Iterable[int], shots: int, seed: int | None = None
 ) -> SpectralMeasurement:
@@ -206,16 +182,12 @@ def measure_shots(
     observed frequency.
     """
     nodes = _measured_sites(eig, nodes)
-    if not is_shot_count(shots):
-        raise InputError(f"shot count {shots!r} is not a whole number in [1, 2**63)")
-    rng = np.random.default_rng(_checked_seed(seed))
+    provenance = Provenance("shots", shots=shots, seed=seed)
+    rng = np.random.default_rng(seed)
     weights = eig.vectors[[eig.index_of[n] for n in nodes]] ** 2
     counts = rng.multinomial(shots, weights / weights.sum(axis=1, keepdims=True))
     return SpectralMeasurement(
-        nodes,
-        eig.eigenvalues.copy(),
-        np.sqrt(counts / shots),
-        Provenance("shots", shots=shots, seed=seed),
+        nodes, eig.eigenvalues.copy(), np.sqrt(counts / shots), provenance
     )
 
 
@@ -246,9 +218,9 @@ class DecaySeries:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.eigenvalues, dtype=float)
-        times = np.asarray(self.times, dtype=float)
-        amps = np.asarray(self.amplitudes, dtype=float)
+        vals = numbers(self.eigenvalues, "eigenvalues", 1)
+        times = numbers(self.times, "times")
+        amps = numbers(self.amplitudes, "amplitudes")
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "amplitudes", amps)
@@ -261,8 +233,8 @@ class DecaySeries:
                 f"amplitude block shape {amps.shape} does not match "
                 "(sites, times, eigenvalues)"
             )
-        if not np.all(np.isfinite(amps)):
-            raise InputError("amplitudes must be finite")
+        if not (np.isfinite(amps).all() and np.isfinite(vals).all()):
+            raise InputError("eigenvalues and amplitudes must be finite")
 
 
 def decay_series_to_json(series: DecaySeries) -> dict:
@@ -308,13 +280,9 @@ def measure_decaying(
         raise InputError(
             f"{len(model.rates)} decay rates for {len(eig.eigenvalues)} eigenstates"
         )
-    try:  # NaN would switch the noise off unseen
-        bad = not noise >= 0
-    except (TypeError, ValueError):  # text, None, a list or an array
-        bad = True
-    if bad:
-        raise InputError(f"noise level must be a number >= 0, got {noise!r}")
-    _checked_seed(seed)
+    scalar(noise, "noise level", low=0)
+    if seed is not None:
+        scalar(seed, "seed {!r}", seed, integer=True, low=0)
     times = _time_array(times)
     rates = np.asarray(model.rates)
     envelope = np.exp(-0.5 * np.outer(times, rates))
@@ -327,33 +295,32 @@ def measure_decaying(
 
 def _time_array(times: Iterable[float]) -> np.ndarray:
     # a tuple of an array would box every sample; generators must be read once
-    return np.asarray(times if isinstance(times, np.ndarray) else tuple(times), float)
-
-
-def _uniform_step(times: np.ndarray) -> float:
-    steps = np.diff(times)
-    dt = float(steps[0])
-    if dt <= 0 or np.any(np.abs(steps - dt) > 1e-9 * dt):
-        raise InputError("signal must be sampled on a uniform increasing time grid")
-    return dt
+    return numbers(times if isinstance(times, np.ndarray) else tuple(times), "times")
 
 
 @dataclass(frozen=True, eq=False)
 class TimeSignal:
-    """Complex-valued return amplitude sampled on a time grid."""
+    """Complex return amplitude sampled on a uniform time grid of step ``dt``
+    (0 when there are fewer than two samples)."""
 
     times: np.ndarray
     values: np.ndarray
+    dt: float = field(init=False)
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=complex)
+        times = numbers(self.times, "times")
+        values = numbers(self.values, "values", dtype=complex)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         if times.ndim != 1 or values.shape != times.shape:
             raise InputError("times and values must be flat lists of equal length")
         if not np.all(np.isfinite(times)) or not np.all(np.isfinite(values)):
-            raise InputError("signal samples must be finite")
+            raise InputError("times and values must be finite")
+        steps = np.diff(times)
+        dt = float(steps[0]) if steps.size else 0.0
+        if steps.size and (dt <= 0 or np.any(np.abs(steps - dt) > 1e-9 * dt)):
+            raise InputError("signal must be sampled on a uniform increasing time grid")
+        object.__setattr__(self, "dt", dt)
 
 
 def signal_to_json(sig: TimeSignal) -> dict:
@@ -389,7 +356,7 @@ def return_amplitude(
     m = times.size
     if times.ndim != 1 or m == 0:
         raise InputError("need at least one sample time")
-    dt = _uniform_step(times) if m > 1 else 0.0
+    dt = float(times[1] - times[0]) if m > 1 else 0.0  # TimeSignal checks the grid
     block = math.isqrt(m - 1) + 1
     energies = eig.eigenvalues
     coarse = np.exp(-1j * np.outer(times[::block], energies))

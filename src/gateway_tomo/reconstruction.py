@@ -25,15 +25,15 @@ import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass
-from numbers import Real
 
 import numpy as np
 
+from ._json import _check_site, scalar
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import GatewayTomoError, IllConditionedError, InconsistentDataError
 from .errors import InputError, NearZeroDivisionError, RankDeficientError
 from .errors import SignAmbiguityError
-from .graphs import AccessPlan, BranchPeel, NetworkGraph, _check_site, edge_key
+from .graphs import AccessPlan, BranchPeel, NetworkGraph, edge_key
 from .measurement import SpectralMeasurement
 from .spectral import HamiltonianParams, params_to_json
 
@@ -400,10 +400,7 @@ def reconstruct(
     finite numbers at sites of ``g``, are only compared against the
     recovered ones under ``field_supplied_<n>``, not fed into the recursion.
     """
-    try:
-        schedule = _schedule(g, plan)
-    except TypeError:  # a plan built by hand from lists is no cache key
-        schedule = _Schedule(g, plan)
+    schedule = _schedule(g, plan)
     missing = schedule.access.difference(meas.nodes)
     if missing:
         raise InputError(f"measurement lacks accessed sites {sorted(missing)}")
@@ -416,8 +413,7 @@ def reconstruct(
     for n, b in supplied.items():
         if _check_site(n) not in g.adjacency:
             raise InputError(f"supplied field for unknown site {n}")
-        if isinstance(b, bool) or not isinstance(b, Real) or not math.isfinite(b):
-            raise InputError(f"supplied field at site {n} is not a finite number")
+        scalar(b, "supplied field at site {}", n)
 
     run = _Recursion(g, meas, tolerances)
     fields, couplings = run.fields, run.couplings

@@ -10,16 +10,15 @@ the reconstruction recursion.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from ._json import numbers, site_keyed, strict_object
+from ._json import _check_site, numbers, scalar, site_keyed, strict_object
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DarkStateError, GaugeDegeneracyError, InputError
-from .graphs import Edge, NetworkGraph, edge_key, _check_site
+from .graphs import Edge, NetworkGraph, edge_key
 
 
 @dataclass(frozen=True)
@@ -30,29 +29,14 @@ class HamiltonianParams:
     couplings: dict[Edge, float]
 
     def __post_init__(self) -> None:
-        fields = {}
-        for n, b in self.local_fields.items():
-            try:
-                b = float(b)
-            except (TypeError, ValueError, OverflowError):
-                raise InputError(f"local field at site {n} is not a number") from None
-            if not math.isfinite(b):
-                raise InputError(f"local field at site {n} is not finite")
-            fields[_check_site(n)] = b
+        fields = {_check_site(n): float(scalar(b, "local field at site {}", n))
+                  for n, b in self.local_fields.items()}
         coups = {}
         for (u, v), c in self.couplings.items():
-            try:
-                c = float(c)
-            except (TypeError, ValueError, OverflowError):
-                raise InputError(
-                    f"coupling at edge ({u}, {v}) is not a number"
-                ) from None
-            if not math.isfinite(c):
-                raise InputError(f"coupling at edge ({u}, {v}) is not finite")
             key = edge_key(_check_site(u), _check_site(v))
             if key in coups:
                 raise InputError(f"coupling for edge {key} given twice")
-            coups[key] = c
+            coups[key] = float(scalar(c, "coupling at edge ({}, {})", u, v))
         object.__setattr__(self, "local_fields", fields)
         object.__setattr__(self, "couplings", coups)
 

@@ -292,7 +292,7 @@ def test_bad_inputs_exit_two(path3_files, tmp_path, capsys):
     for count in (float("nan"), float("inf")):
         meas.write_text(json.dumps({**doc, "provenance": {"kind": "shots", "count": count}}))
         assert main(["reconstruct", "--graph", str(graph), "--measurement", str(meas)]) == 2
-    assert "positive shot count" in capsys.readouterr().err
+    assert "not a whole number" in capsys.readouterr().err
 
 
 PARAMS = {"b": {"1": 0.3, "2": -0.2, "3": 0.5}, "c": {"1-2": 0.8, "2-3": 1.1}}

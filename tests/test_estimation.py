@@ -104,10 +104,8 @@ def test_estimator_input_validation(dimer):
     assert np.array_equal(got.weights, want.weights)
     with pytest.raises(InputError):
         estimate_spectrum_fft(sig, 2, window="boxcar")
-    ragged = TimeSignal(np.array([0.0, 0.4, 1.0, 1.4, 2.0, 2.4, 3.0, 3.4]),
-                        np.ones(8, dtype=complex))
     with pytest.raises(InputError, match="uniform"):
-        estimate_spectrum_fft(ragged, 1)
+        TimeSignal(np.array([0.0, 0.4, 1.0, 1.4, 2.0, 2.4, 3.0, 3.4]), np.ones(8, complex))
     short = TimeSignal(times[:6], sig.values[:6])
     with pytest.raises(InputError, match="at least"):
         estimate_spectrum_fft(short, 2)

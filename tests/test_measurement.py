@@ -15,16 +15,20 @@ from gateway_tomo import (
     Provenance,
     SpectralMeasurement,
     TimeSignal,
+    Tolerances,
     assemble_single_excitation,
+    compute_access_plan,
     decay_series_from_json,
     decay_series_to_json,
     eigendecompose,
+    estimate_spectrum_fft,
     gauge_fix,
     measure_decaying,
     measure_exact,
     measure_shots,
     measurement_from_json,
     measurement_to_json,
+    reconstruct,
     return_amplitude,
     signal_from_json,
     signal_to_json,
@@ -53,16 +57,16 @@ def test_provenance_validation():
         Provenance("guess")
     with pytest.raises(InputError):
         Provenance("shots")
-    for count in ("5", None, [5], 10**400, 0.5, float("nan"), float("inf"), True, False):
-        with pytest.raises(InputError, match="positive shot count"):
+    for count in ("5", None, [5], 10**400, 0.5, 2.5, float("nan"), float("inf"), True,
+                  False):
+        with pytest.raises(InputError, match="not a whole number"):
             Provenance("shots", shots=count)
-    assert Provenance("shots", shots=2.5).shots == 2.5
     for seed in (True, 1.0, "7", [1], {"a": [1]}):
         with pytest.raises(InputError, match="seed"):
             Provenance("exact", seed=seed)
     assert Provenance("shots", shots=9, seed=np.int64(4)).seed == 4
     assert Provenance("exact", seed=None).seed is None
-    with pytest.raises(InputError, match="positive shot count"):
+    with pytest.raises(InputError, match="not a whole number"):
         measurement_from_json({
             "provenance": {"kind": "shots", "count": True},
             "eigenvalues": [-1, 1], "moduli": {"1": [0.6, 0.8]},
@@ -187,9 +191,9 @@ def test_measurement_json_rejects_unknown_keys(dimer):
         ({**doc, "moduli": {"one": [1.0]}}, "key 'one' is not a site label"),
         ({**doc, "moduli": {"1": [1.0], "01": [1.0]}}, '"moduli" names site 1 more'),
         ({**doc, "moduli": moduli, "provenance": {"kind": "shots", "count": math.nan}},
-         "positive shot count"),
+         "not a whole number"),
         ({**doc, "moduli": moduli, "provenance": {"kind": "shots", "count": math.inf}},
-         "positive shot count"),
+         "not a whole number"),
         ({**doc, "moduli": moduli, "provenance": "exact"}, "provenance must be a JSON"),
         ({**doc, "moduli": moduli, "provenance": {}}, 'provenance needs "kind"'),
         ({**doc, "moduli": moduli, "provenance": {**prov, "by": 1}}, "unknown keys"),
@@ -265,6 +269,70 @@ def test_non_number_inputs_raise_input_error_naming_their_field(field, value, di
     for call in calls:
         with pytest.raises(InputError, match=field):
             call()
+
+
+def _number_arguments(dimer):
+    """Per numeric argument: the name its error gives, a good value, and a call
+    taking one value in its place (an array's first element)."""
+    g = NetworkGraph.from_edges([(1, 2)])
+    meas = measure_exact(dimer, [1, 2])
+    vals, mods = meas.eigenvalues.tolist(), meas.moduli.tolist()
+    exact, amps = Provenance("exact"), [[[0.5, 0.5], [0.4, 0.4]]]
+    signal = return_amplitude(dimer, 1, np.arange(8) * 0.5)
+    return {
+        "HamiltonianParams.local_fields": ("local field at site 1", 0.0, lambda v:
+            HamiltonianParams({1: v, 2: 0.0}, {(1, 2): 1.0})),
+        "HamiltonianParams.couplings": (r"coupling at edge \(1, 2\)", 1.0, lambda v:
+            HamiltonianParams({1: 0.0, 2: 0.0}, {(1, 2): v})),
+        "Provenance.shots": ("shot count", 100, lambda v: Provenance("shots", shots=v)),
+        "Provenance.seed": ("seed", 3, lambda v: Provenance("exact", seed=v)),
+        "Tolerances": ("coupling_tol", 1e-9, lambda v: Tolerances(coupling_tol=v)),
+        "SpectralMeasurement.eigenvalues": ("eigenvalues", vals[0], lambda v:
+            SpectralMeasurement((1, 2), [v, vals[1]], mods, exact)),
+        "SpectralMeasurement.moduli": ("moduli", mods[0][0], lambda v:
+            SpectralMeasurement((1, 2), vals, [[v, mods[0][1]], mods[1]], exact)),
+        "DecaySeries.eigenvalues": ("eigenvalues", vals[0], lambda v:
+            DecaySeries((1,), [v, vals[1]], [0.0, 1.0], amps)),
+        "DecaySeries.times": ("times", 0.0, lambda v:
+            DecaySeries((1,), vals, [v, 1.0], amps)),
+        "DecaySeries.amplitudes": ("amplitudes", 0.5, lambda v:
+            DecaySeries((1,), vals, [0.0, 1.0], [[[v, 0.5], [0.4, 0.4]]])),
+        "TimeSignal.times": ("times", 0.0, lambda v: TimeSignal([v, 0.5], [1.0, 1j])),
+        "TimeSignal.values": ("values", 1.0, lambda v: TimeSignal([0.0, 0.5], [v, 1j])),
+        "measure_decaying.noise": ("noise", 0.01, lambda v: measure_decaying(
+            dimer, [1], [0.0, 1.0], DecayModel((0.1, 0.1)), noise=v)),
+        "estimate_spectrum_fft.n_peaks": ("number of peaks", 2, lambda v:
+            estimate_spectrum_fft(signal, v)),
+        "reconstruct.known_fields": ("supplied field at site 2", 0.0, lambda v:
+            reconstruct(g, compute_access_plan(g), meas, known_fields={2: v})),
+    }
+
+
+NON_NUMBERS = {  # each from the argument's good value x
+    "True": lambda x: True, "text": lambda x: "0.5", "bytes": lambda x: b"1",
+    "None": lambda x: None, "NaN": lambda x: math.nan, "list": lambda x: [x],
+}
+
+
+@pytest.mark.parametrize("argument, bad", [
+    (argument, bad)
+    for argument in (
+        "HamiltonianParams.local_fields", "HamiltonianParams.couplings",
+        "Provenance.shots", "Provenance.seed", "Tolerances",
+        "SpectralMeasurement.eigenvalues", "SpectralMeasurement.moduli",
+        "DecaySeries.eigenvalues", "DecaySeries.times", "DecaySeries.amplitudes",
+        "TimeSignal.times", "TimeSignal.values", "measure_decaying.noise",
+        "estimate_spectrum_fft.n_peaks", "reconstruct.known_fields",
+    )
+    for bad in NON_NUMBERS
+    if (argument, bad) != ("Provenance.seed", "None")  # no seed
+])
+def test_every_numeric_argument_refuses_non_numbers(argument, bad, dimer):
+    """One rule for every number from outside: InputError naming the argument."""
+    name, good, call = _number_arguments(dimer)[argument]
+    call(good)
+    with pytest.raises(InputError, match=name):
+        call(NON_NUMBERS[bad](good))
 
 
 def test_decay_series_json_roundtrip(dimer):

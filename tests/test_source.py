@@ -18,3 +18,16 @@ def test_package_has_no_assert_statements():
     ]
     assert len(SOURCES) > 5
     assert found == []
+
+
+def test_private_names_are_imported_only_from_json():
+    """``_json`` holds the input rules; no other module lends out a private name."""
+    found = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and node.module != "_json"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []
