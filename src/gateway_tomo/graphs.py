@@ -8,19 +8,20 @@ order branch segments are peeled, and which sites are left over as
 consistency checks.
 
 Everything here is pure bookkeeping on the graph; no spectral data is
-touched.  Apart from the shared strict-JSON reader, which brings numpy, only
-the standard library is used.
+touched.  numpy only lays out the index arrays that assembly reads.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from numbers import Integral
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from ._json import _check_site, strict_object
 from .errors import CapabilityError, InputError, NotEstimableError
@@ -34,6 +35,12 @@ def edge_key(u: int, v: int) -> Edge:
     if u == v:
         raise InputError(f"self-loop at site {u} is not allowed")
     return (u, v) if u < v else (v, u)
+
+
+def _hashed_once(self) -> int:  # frozen graphs and plans key the schedule cache
+    if "_hash" not in self.__dict__:
+        self.__dict__["_hash"] = hash(tuple(getattr(self, f.name) for f in fields(self)))
+    return self.__dict__["_hash"]
 
 
 @dataclass(frozen=True)
@@ -50,6 +57,7 @@ class NetworkGraph:
     nodes: tuple[int, ...]
     edges: tuple[Edge, ...]
     signs: tuple[int, ...] = ()
+    __hash__ = _hashed_once
 
     def __post_init__(self) -> None:
         nodes = tuple(sorted({_check_site(n) for n in self.nodes}))
@@ -115,6 +123,14 @@ class NetworkGraph:
     @cached_property
     def sign_of(self) -> dict[Edge, int]:
         return dict(zip(self.edges, self.signs))
+
+    @cached_property
+    def _entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat matrix positions of the edges' (u, v) entries, then (v, u), and signs."""
+        at = {n: i for i, n in enumerate(self.nodes)}
+        uv = np.array([[at[u], at[v]] for u, v in self.edges], np.intp).reshape(-1, 2).T
+        flat = np.ravel_multi_index(np.hstack([uv, uv[::-1]]), (len(at), len(at)))
+        return flat, np.array(self.signs, dtype=float)
 
     @cached_property
     def topology(self) -> TopologyClass:
@@ -365,6 +381,7 @@ class AccessPlan(_Tuples):
     cycle_plan: CyclePlan | None = None
     aggressive: bool = False
     _SEQUENCES = ("access_set", "reference_path", "peel_schedule")
+    __hash__ = _hashed_once
 
     @property
     def consumed_sites(self) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._json import numbers, scalar, site_keyed, strict_object
+from ._json import _check_site, numbers, scalar, site_keyed, strict_object
 from .errors import InputError
 from .spectral import EigenSystem
 
@@ -154,20 +154,24 @@ def measurement_from_json(data: object) -> SpectralMeasurement:
     )
 
 
-def _measured_sites(eig: EigenSystem, nodes: Iterable[int]) -> tuple[int, ...]:
+def _measured_sites(eig: EigenSystem, nodes: Iterable[int]) -> tuple[tuple, list]:
+    """The checked sites, ascending, and their rows of ``eig.vectors``."""
     if eig.gauge_reference is None:
         raise InputError(
             "gauge-fix the eigensystem against a reference site before measuring"
         )
-    return tuple(sorted(nodes))
+    nodes = tuple(sorted(map(_check_site, nodes)))
+    for n in nodes:
+        if n not in eig.index_of:
+            raise InputError(f"site {n} is not part of this system")
+    return nodes, list(map(eig.index_of.__getitem__, nodes))
 
 
 def measure_exact(eig: EigenSystem, nodes: Iterable[int]) -> SpectralMeasurement:
     """Read off exact amplitude moduli at the given sites."""
-    nodes = _measured_sites(eig, nodes)
-    rows = np.stack([np.abs(eig.site_amplitudes(n)) for n in nodes])
+    nodes, rows = _measured_sites(eig, nodes)
     return SpectralMeasurement(
-        nodes, eig.eigenvalues.copy(), rows, Provenance("exact")
+        nodes, eig.eigenvalues.copy(), np.abs(eig.vectors[rows]), Provenance("exact")
     )
 
 
@@ -181,10 +185,10 @@ def measure_shots(
     modulus squares, and the estimated modulus is the square root of the
     observed frequency.
     """
-    nodes = _measured_sites(eig, nodes)
+    nodes, rows = _measured_sites(eig, nodes)
     provenance = Provenance("shots", shots=shots, seed=seed)
     rng = np.random.default_rng(seed)
-    weights = eig.vectors[[eig.index_of[n] for n in nodes]] ** 2
+    weights = eig.vectors[rows] ** 2
     counts = rng.multinomial(shots, weights / weights.sum(axis=1, keepdims=True))
     return SpectralMeasurement(
         nodes, eig.eigenvalues.copy(), np.sqrt(counts / shots), provenance
@@ -275,7 +279,7 @@ def measure_decaying(
     exp(N(0, noise)), matching relative amplitude error of roughly
     ``noise`` for small values.
     """
-    nodes = _measured_sites(eig, nodes)
+    nodes, rows = _measured_sites(eig, nodes)
     if len(model.rates) != len(eig.eigenvalues):
         raise InputError(
             f"{len(model.rates)} decay rates for {len(eig.eigenvalues)} eigenstates"
@@ -286,7 +290,7 @@ def measure_decaying(
     times = _time_array(times)
     rates = np.asarray(model.rates)
     envelope = np.exp(-0.5 * np.outer(times, rates))
-    amps = np.stack([np.abs(eig.site_amplitudes(n)) * envelope for n in nodes])
+    amps = np.abs(eig.vectors[rows])[:, None] * envelope
     if noise > 0:
         rng = np.random.default_rng(seed)
         amps = amps * np.exp(rng.normal(0.0, noise, size=amps.shape))
@@ -294,6 +298,8 @@ def measure_decaying(
 
 
 def _time_array(times: Iterable[float]) -> np.ndarray:
+    if not isinstance(times, Iterable):
+        raise InputError(f"times must be a list of numbers, got {times!r}")
     # a tuple of an array would box every sample; generators must be read once
     return numbers(times if isinstance(times, np.ndarray) else tuple(times), "times")
 

@@ -13,9 +13,9 @@ are fixed componentwise and the families merge.  Each family keeps the
 running peak modulus of its columns, so a merge finds the states it can
 align in O(states).  All that the graph and the plan decide, validation
 included, is compiled once per (g, plan) into a `_Schedule`, which
-`reconstruct` replays.  Cycle couplings never appear alone in a sum rule, so
-their squares are solved jointly from second (and, for even cycles, third)
-central moments.
+`reconstruct` replays as array operations on the rows it fixed.  Cycle
+couplings never appear alone in a sum rule, so their squares are solved
+jointly from second (and, for even cycles, third) central moments.
 """
 
 from __future__ import annotations
@@ -43,36 +43,35 @@ REFERENCE_FAMILY = "reference"
 class _Recursion:
     """The sum-rule recursion of one reconstruction: its columns and results.
 
-    Columns are rows of ``cols`` in claim order, ``row`` maps sites to rows,
-    and ``peak`` holds each family's per-state maximum modulus.  Without a
-    measurement it tracks only what the plan fixes, for `_Schedule`.
+    Columns are rows of ``cols`` in claim order and ``peak`` holds each
+    family's per-state maximum modulus.  `take` records what the plan fixes:
+    the rows, edges and families a block claims.  `_Schedule` takes every
+    block without a measurement; `replay` runs one without taking it.
     """
 
     def __init__(self, g: NetworkGraph, meas=None, tol=DEFAULT_TOLERANCES):
         self.g, self.meas, self.tolerances = g, meas, tol
         self.row, self.node_family, self.families, self.peak = {}, {}, {}, {}
-        self.couplings, self.fields, self.mismatch_log = {}, {}, {}
+        self.closed, self.couplings, self.fields, self.mismatch_log = set(), {}, {}, {}
         if meas is not None:
             self.eigenvalues = np.asarray(meas.eigenvalues, dtype=float)
             # a full reconstruction claims one row per eigenstate
             self.cols = np.empty((len(self.eigenvalues),) * 2)
+            self.moduli_row = dict(zip(meas.nodes, itertools.count()))
 
     def vector(self, node: int) -> np.ndarray:
         if node not in self.row:
             raise InputError(f"no eigenvector column known at site {node}")
         return self.cols[self.row[node]]
 
-    def seed(self, site: int, row: int | None) -> np.ndarray:
-        return self.meas.moduli_of(site) if row is None else self.cols[row]
-
     def known(self, n: int) -> tuple[list, list, list]:
         """Sites, rows and edges of ``n``'s neighbors across resolved edges."""
-        us = [u for u in self.g.adjacency[n] if edge_key(n, u) in self.couplings]
+        us = [u for u in self.g.adjacency[n] if edge_key(n, u) in self.closed]
         return us, [self.row[u] for u in us], [edge_key(n, u) for u in us]
 
     def take(self, block: _Block) -> None:
         self.row.update(zip(block.owners, itertools.count(len(self.row))))
-        self.couplings.update(dict.fromkeys(block.edges))
+        self.closed.update(block.edges)
         for n, family in block.owners.items():
             self.node_family[n] = family
             self.families.setdefault(family, []).append(n)
@@ -101,6 +100,10 @@ class _Recursion:
         return b, r
 
     def advance(self, block: _Block) -> None:
+        self.replay(block)
+        self.take(block)
+
+    def replay(self, block: _Block) -> None:
         """Run a block, one array operation per recursion step, and settle it.
 
         Step 0 subtracts every known neighbor of each head, a later step only
@@ -111,11 +114,14 @@ class _Recursion:
         """
         overlap, floor = self.tolerances.overlap_tol, self.tolerances.coupling_tol**2
         nodes, edges, sign = block.nodes, block.edges, block.sign
-        cols = np.empty((len(nodes) + len(block.seeds), len(self.eigenvalues)))
+        cols = np.empty((len(nodes) + len(block.batch), len(self.eigenvalues)))
         arrivals = cols[len(nodes) :]
-        arrivals[:] = [self.seed(*s) for s in block.seeds]
+        rows = [self.moduli_row[n] for n in block.heads]
+        arrivals[block.measured] = self.meas.moduli[rows]
+        for j, _, row in block.tops:
+            arrivals[j] = self.cols[row]
         cols[: block.lead], peak = arrivals[: block.lead], np.abs(arrivals)
-        for j, family in block.tops:
+        for j, family, _ in block.tops:
             peak[j] = self.peak[family]
         b_all, c_all = np.empty(len(nodes)), np.empty(len(nodes))
         for lo, hi, a, back, going in block.steps:
@@ -163,12 +169,10 @@ class _Recursion:
                     flips.append(e[i])
         if eps is not None:
             cols[: len(nodes)] *= eps[block.lanes]
-        row0 = len(self.row)
-        self.cols[row0 : row0 + len(block.owners)] = cols[block.keep]
+        self.cols[block.row0 : block.row0 + len(block.keep)] = cols[block.keep]
         for (src, _, rows), flip in zip(block.moves, flips):
             self.cols[rows] *= flip
             del self.peak[src]
-        self.take(block)
         self.peak.update(hold)
         for key, value in ((f"merge_{t}", x) for t, x in logs.items()):
             self.mismatch_log[key] = max(self.mismatch_log.get(key, 0.0), value)
@@ -192,13 +196,17 @@ class _Block:
         segs = []
         for i, (family, peel) in enumerate(batch):
             top = None if peel.seeded_by_measurement else sites.node_family[peel.head]
-            seed = (peel.head, None) if top is None else (None, sites.row[peel.head])
+            seed = peel.head if top is None else sites.row[peel.head]
             # a measured segment without steps arrives at its head at once
             seq = (*peel.nodes, peel.terminal) if peel.nodes else (peel.head,)
             segs.append((seq, top or family, seed, top, i))
         segs.sort(key=lambda s: -len(s[0]))
-        seqs, fams, self.seeds, tops, rank = zip(*segs)
-        self.batch, self.tops = tuple(batch), [(j, f) for j, f in enumerate(tops) if f]
+        seqs, fams, seeds, tops, rank = zip(*segs)
+        self.batch, self.row0 = tuple(batch), len(sites.row)
+        # a derived lane continues its family from a row, a measured one reads its head
+        self.tops = [(j, f, seeds[j]) for j, f in enumerate(tops) if f]
+        self.measured = np.flatnonzero([t is None for t in tops])
+        self.heads = [seeds[j] for j in self.measured]
         shorter = [1 - len(s) for s in seqs]
         active = [bisect.bisect_left(shorter, -k) for k in range(-shorter[0])]
         start = [0, *itertools.accumulate(active)]
@@ -276,10 +284,10 @@ class _Schedule:
             self.moments = ("second", "third") if len(cyc) % 2 == 0 else ("second",)
             self.at, self.matrix = np.arange(len(cyc)), np.eye(len(cyc))
             self.matrix[self.at, self.at - 1] = 1.0
-            sites.couplings.update(dict.fromkeys(self.cycle_edges))
+            sites.closed.update(self.cycle_edges)
         self.access, self.checks = frozenset(plan.access_set), plan.check_sites(g)
         self.known = [sites.known(n) for n in self.checks]
-        self.keys = [f"site_{n}" for n in self.checks]
+        self.keys, self.row = [f"site_{n}" for n in self.checks], sites.row
 
 
 # by value: equal graphs and plans share a schedule; a failed validation raises again
@@ -313,7 +321,8 @@ def _solve_cycle_moments(
     fields, couplings, tolerances = run.fields, run.couplings, run.tolerances
     cyc, at, matrix = schedule.cycle.cycle, schedule.at, schedule.matrix
     length = len(cyc)
-    vecs = np.array([run.seed(n, row) for n, row in zip(cyc, schedule.rows)])
+    vecs = np.array([run.meas.moduli[run.moduli_row[n]] if row is None else run.cols[row]
+                     for n, row in zip(cyc, schedule.rows)])
     b, r = run.sum_rule(vecs, schedule.tree)
     fields.update(zip(cyc, b.tolist()))
     rhs = np.add.reduce(r * r, 1)
@@ -417,13 +426,16 @@ def reconstruct(
 
     run = _Recursion(g, meas, tolerances)
     fields, couplings = run.fields, run.couplings
-    for block in schedule.blocks:
+    for k, block in enumerate(schedule.blocks):
         try:
-            run.advance(block)
+            run.replay(block)
         except GatewayTomoError:
             # nothing was written: one at a time, the earliest failing segment raises
-            for segment in block.batch if len(block.batch) > 1 else ():
-                run.advance(_Block(run, [segment]))
+            if len(block.batch) > 1:
+                for done in schedule.blocks[:k]:  # the rows and families it builds on
+                    run.take(done)
+                for segment in block.batch:
+                    run.advance(_Block(run, [segment]))
             raise
 
     diagnostics, flags = None, ()
@@ -433,6 +445,7 @@ def reconstruct(
     # leftover equations become consistency checks
     residuals: dict[str, float] = {}
     if schedule.checks:
+        run.row = schedule.row  # every row the schedule laid out
         own = np.array([run.vector(n) for n in schedule.checks])
         b, r = run.sum_rule(own, schedule.known)
         fields.update(zip(schedule.checks, b.tolist()))

@@ -10,6 +10,7 @@ the reconstruction recursion.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,16 +30,32 @@ class HamiltonianParams:
     couplings: dict[Edge, float]
 
     def __post_init__(self) -> None:
-        fields = {_check_site(n): float(scalar(b, "local field at site {}", n))
-                  for n, b in self.local_fields.items()}
-        coups = {}
-        for (u, v), c in self.couplings.items():
-            key = edge_key(_check_site(u), _check_site(v))
-            if key in coups:
-                raise InputError(f"coupling for edge {key} given twice")
-            coups[key] = float(scalar(c, "coupling at edge ({}, {})", u, v))
+        if _kept_as_given(self.local_fields, self.couplings):
+            fields, coups = dict(self.local_fields), dict(self.couplings)
+        else:  # one entry at a time, naming the first offender
+            fields = {_check_site(n): float(scalar(b, "local field at site {}", n))
+                      for n, b in self.local_fields.items()}
+            coups = {}
+            for (u, v), c in self.couplings.items():
+                key = edge_key(_check_site(u), _check_site(v))
+                if key in coups:
+                    raise InputError(f"coupling for edge {key} given twice")
+                coups[key] = float(scalar(c, "coupling at edge ({}, {})", u, v))
         object.__setattr__(self, "local_fields", fields)
         object.__setattr__(self, "couplings", coups)
+
+
+def _kept_as_given(fields: object, couplings: object) -> bool:
+    """Whether each entry passes its check unchanged, checked in bulk: dicts of
+    int sites >= 1, of int edges (u, v) with u < v, and of finite floats."""
+    pairs = type(couplings) is dict and {*map(type, couplings)} <= {tuple}
+    pairs = pairs and type(fields) is dict and {*map(len, couplings)} <= {2}
+    vals = [*fields.values(), *couplings.values()] if pairs else [None]
+    us, vs = zip(*couplings) if pairs and couplings else ((), ())
+    return ({*map(type, vals)} <= {float} and {*map(type, [*fields, *us, *vs])} <= {int}
+            and min(fields, default=1) >= 1 and min(us, default=1) >= 1
+            and all(map(operator.lt, us, vs))
+            and bool(np.isfinite(np.fromiter(vals, float, len(vals))).all()))
 
 
 def params_to_json(params: HamiltonianParams) -> dict:
@@ -88,36 +105,35 @@ def assemble_single_excitation(
     agrees with the sign declared on the graph, and nothing may be left
     over.
     """
-    missing = set(g.nodes) - set(params.local_fields)
-    extra = set(params.local_fields) - set(g.nodes)
-    if missing or extra:
+    fields, couplings = params.local_fields, params.couplings
+    if fields.keys() != g.adjacency.keys():
+        missing, extra = set(g.nodes) - set(fields), set(fields) - set(g.nodes)
         raise InputError(
             f"fields do not match sites (missing {sorted(missing)}, "
             f"extra {sorted(extra)})"
         )
-    missing_e = set(g.edges) - set(params.couplings)
-    extra_e = set(params.couplings) - set(g.edges)
-    if missing_e or extra_e:
+    if couplings.keys() != g.sign_of.keys():
+        missing, extra = set(g.edges) - set(couplings), set(couplings) - set(g.edges)
         raise InputError(
-            f"couplings do not match edges (missing {sorted(missing_e)}, "
-            f"extra {sorted(extra_e)})"
+            f"couplings do not match edges (missing {sorted(missing)}, "
+            f"extra {sorted(extra)})"
         )
-    for e, c in params.couplings.items():
-        if c == 0.0:
+    entries, signs = g._entries
+    c = np.fromiter(map(couplings.__getitem__, g.edges), float, len(g.edges))
+    # zero or against the declared sign: the first such edge in the params' order
+    for e, x in couplings.items() if not (c * signs > 0).all() else ():
+        if x == 0.0:
             raise InputError(f"coupling on edge {e} must be nonzero")
-        if (1 if c > 0 else -1) != g.sign_of[e]:
+        if (1 if x > 0 else -1) != g.sign_of[e]:
             raise InputError(
-                f"coupling on edge {e} has sign {'+' if c > 0 else '-'} but the "
+                f"coupling on edge {e} has sign {'+' if x > 0 else '-'} but the "
                 f"graph declares {'+' if g.sign_of[e] > 0 else '-'}"
             )
 
-    idx = {n: i for i, n in enumerate(g.nodes)}
-    mat = np.zeros((len(g.nodes), len(g.nodes)))
-    for n, b in params.local_fields.items():
-        mat[idx[n], idx[n]] = b
-    for (u, v), c in params.couplings.items():
-        mat[idx[u], idx[v]] = c
-        mat[idx[v], idx[u]] = c
+    size = len(g.nodes)
+    mat = np.zeros((size, size))
+    mat.flat[:: size + 1] = np.fromiter(map(fields.__getitem__, g.nodes), float, size)
+    mat.flat[entries] = np.concatenate([c, c])
     return SymmetricMatrix(g.nodes, mat)
 
 

@@ -114,6 +114,41 @@ def test_measure_requires_gauge_fixed_system():
         measure_shots(eig, [1], 100, seed=0)
 
 
+MEASURES = {
+    "exact": lambda eig, sites: measure_exact(eig, sites),
+    "shots": lambda eig, sites: measure_shots(eig, sites, 100, seed=0),
+    "decaying": lambda eig, sites: measure_decaying(
+        eig, sites, [0.0, 1.0], DecayModel((0.1, 0.1))),
+}
+
+
+@pytest.mark.parametrize("site, message", [
+    (True, "site labels must be integers, got True"),
+    (0, "site labels must be positive, got 0"),
+    (99, "site 99 is not part of this system"),
+])
+@pytest.mark.parametrize("measure", MEASURES)
+def test_measured_sites_are_checked_labels_of_the_eigensystem(
+    measure, site, message, dimer
+):
+    """A bool is no site 1 and an unknown site is no bare KeyError."""
+    with pytest.raises(InputError, match=message):
+        MEASURES[measure](dimer, [1, site])
+    record = MEASURES[measure](dimer, [2, 1])
+    assert record.nodes == (1, 2) and all(type(n) is int for n in record.nodes)
+
+
+def test_measured_rows_match_the_sites_amplitudes():
+    eig = generic_system(np.random.default_rng(5), NetworkGraph.from_edges(
+        [(1, 2), (2, 3), (2, 4), (4, 5)]))[3]
+    sites = (5, 1, 3)
+    exact = measure_exact(eig, sites)
+    series = measure_decaying(eig, sites, [0.0, 2.0], DecayModel((0.0,) * 5))
+    for i, n in enumerate(sorted(sites)):
+        np.testing.assert_array_equal(exact.moduli[i], np.abs(eig.site_amplitudes(n)))
+        np.testing.assert_array_equal(series.amplitudes[i, 0], exact.moduli[i])
+
+
 def test_moduli_of_lookup(dimer):
     meas = measure_exact(dimer, [2])
     np.testing.assert_array_equal(meas.moduli_of(2), meas.moduli[0])
@@ -249,6 +284,8 @@ def test_decay_input_validation(dimer):
             measure_decaying(dimer, [1], [0.0, 1.0], DecayModel((0.1, 0.1)), noise=noise)
     with pytest.raises(InputError, match="two sample times"):
         measure_decaying(dimer, [1], [0.0], DecayModel((0.1, 0.1)))
+    with pytest.raises(InputError, match="times must be a list of numbers, got None"):
+        measure_decaying(dimer, [1], None, DecayModel((0.1, 0.1)))
 
 
 @pytest.mark.parametrize("value", [None, "a", object(), [[]], math.nan])
@@ -420,8 +457,10 @@ def test_signal_json_roundtrip():
             signal_from_json(bad)
 
 
-def test_signal_validation():
+def test_signal_validation(dimer):
     with pytest.raises(InputError):
         TimeSignal(np.array([0.0, 1.0]), np.array([1.0]))
     with pytest.raises(InputError):
         TimeSignal(np.array([0.0, np.inf]), np.array([1.0, 1.0]))
+    with pytest.raises(InputError, match="times must be a list of numbers, got 5.0"):
+        return_amplitude(dimer, 1, 5.0)

@@ -667,6 +667,32 @@ def test_result_json_is_a_complete_record(rng, fmo_graph):
 # ------------------------------------------------------- compiled schedule
 
 
+def test_an_overflowing_record_is_refused_not_returned():
+    """Eigenvalues scaled by 1e300 overflow the recursion; the result's own
+    check refuses the non-finite field instead of returning it."""
+    legs = [e for k in range(5) for e in ((1, 2 + 2 * k), (2 + 2 * k, 3 + 2 * k))]
+    g, params, plan, eig, meas = generic_system(
+        np.random.default_rng(4), NetworkGraph.from_edges(legs),
+        field_range=(-0.1, 0.1), coupling_range=(0.8, 1.2))
+    huge = SpectralMeasurement(meas.nodes, meas.eigenvalues * 1e300, meas.moduli,
+                               meas.provenance)
+    refusal = r"local field at site \d+ is not a number"
+    with np.errstate(all="ignore"), pytest.raises(InputError, match=refusal):
+        reconstruct(g, plan, huge)
+
+
+def test_graphs_and_plans_hash_once(rng, fmo_graph):
+    """A schedule lookup reads a stored hash instead of walking every field."""
+    g, params, plan, eig, meas = generic_system(rng, fmo_graph)
+    twin = NetworkGraph(g.nodes, g.edges, g.signs)
+    assert hash(twin) == hash(g) and hash(compute_access_plan(twin)) == hash(plan)
+    for frozen in (g, plan):
+        first = hash(frozen)
+        # a field that could not be hashed again: only the stored hash answers
+        object.__setattr__(frozen, "access_set" if frozen is plan else "edges", [[0]])
+        assert hash(frozen) == first
+
+
 def count_validations(monkeypatch):
     """Empty the schedule cache and record every `AccessPlan.validate` call."""
     calls, validate = [], AccessPlan.validate

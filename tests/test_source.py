@@ -20,6 +20,21 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_no_record_is_built_around_its_checks():
+    """``object.__new__`` or ``cls.__new__`` would make an instance that skips
+    ``__init__`` and so every check a record makes of its inputs."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__new__"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in ("object", "cls")
+    ]
+    assert found == []
+
+
 def test_private_names_are_imported_only_from_json():
     """``_json`` holds the input rules; no other module lends out a private name."""
     found = [

@@ -67,6 +67,44 @@ def test_assemble_rejects_sign_mismatch():
         assemble_single_excitation(g, bad)
 
 
+def test_assemble_names_the_first_bad_edge_in_the_params_order():
+    g = NetworkGraph.from_edges([(1, 2), (2, 3), (3, 4)])
+    fields = dict.fromkeys(g.nodes, 0.0)
+    for couplings, edge in [
+        ({(3, 4): -1.0, (1, 2): 1.0, (2, 3): 0.0}, r"\(3, 4\) has sign -"),
+        ({(2, 3): 0.0, (1, 2): 1.0, (3, 4): -1.0}, r"\(2, 3\) must be nonzero"),
+        ({(1, 2): 1.0, (2, 3): -0.0, (3, 4): 1.0}, r"\(2, 3\) must be nonzero"),
+    ]:
+        with pytest.raises(InputError, match=edge):
+            assemble_single_excitation(g, HamiltonianParams(fields, couplings))
+    couplings = {(3, 4): 0.5, (1, 2): 0.25, (2, 3): 0.125}
+    params = HamiltonianParams(dict(reversed(fields.items())), couplings)
+    np.testing.assert_array_equal(assemble_single_excitation(g, params).matrix, [
+        [0.0, 0.25, 0.0, 0.0], [0.25, 0.0, 0.125, 0.0],
+        [0.0, 0.125, 0.0, 0.5], [0.0, 0.0, 0.5, 0.0]])
+
+
+def test_params_name_the_first_offender_in_their_order():
+    """Entries checked in bulk or one at a time give the same params and refusals."""
+    with pytest.raises(InputError, match="local field at site 3 is not a number"):
+        HamiltonianParams({2: 0.5, 3: float("inf"), 1: "x"}, {})
+    with pytest.raises(InputError, match="site labels must be positive, got 0"):
+        HamiltonianParams({1: 0.5}, {(1, 2): 1.0, (0, 2): float("nan"), (2, 1): 1.0})
+    with pytest.raises(InputError, match=r"coupling for edge \(1, 2\) given twice"):
+        HamiltonianParams({}, {(1, 2): 1.0, (2, 1): 1.0})
+    plain = HamiltonianParams({2: 0.5, 1: -1.0}, {(2, 3): 0.25, (1, 2): 1.0})
+    for fields, couplings in [
+        ({2: np.float64(0.5), 1: -1}, {(3, 2): 0.25, (1, 2): np.float32(1.0)}),
+        ({2: 0.5, 1: -1.0}, {(2, 3): 0.25, (1, 2): 1}),
+    ]:
+        other = HamiltonianParams(fields, couplings)
+        assert other == plain
+        assert list(other.local_fields.items()) == list(plain.local_fields.items())
+        assert list(other.couplings.items()) == list(plain.couplings.items())
+        values = [*other.local_fields.values(), *other.couplings.values()]
+        assert {type(x) for x in values} == {float}
+
+
 def test_params_reject_nonfinite():
     with pytest.raises(InputError):
         HamiltonianParams({1: float("nan")}, {})
