@@ -99,6 +99,7 @@ class SpectralMeasurement:
     provenance: Provenance
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "nodes", tuple(map(_check_site, self.nodes)))
         vals = numbers(self.eigenvalues, "eigenvalues", 1)
         mods = numbers(self.moduli, "moduli")
         object.__setattr__(self, "eigenvalues", vals)
@@ -222,6 +223,7 @@ class DecaySeries:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "nodes", tuple(map(_check_site, self.nodes)))
         vals = numbers(self.eigenvalues, "eigenvalues", 1)
         times = numbers(self.times, "times")
         amps = numbers(self.amplitudes, "amplitudes")

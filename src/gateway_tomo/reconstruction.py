@@ -10,12 +10,13 @@ sites; a later step subtracts just the site before.  Columns seeded from
 moduli carry a per-eigenstate sign, shared by their sign family, that
 squares never see; where two families meet at a site their relative signs
 are fixed componentwise and the families merge.  Each family keeps the
-running peak modulus of its columns, so a merge finds the states it can
-align in O(states).  All that the graph and the plan decide, validation
-included, is compiled once per (g, plan) into a `_Schedule`, which
-`reconstruct` replays as array operations on the rows it fixed.  Cycle
-couplings never appear alone in a sum rule, so their squares are solved
-jointly from second (and, for even cycles, third) central moments.
+running peak modulus of its columns where a later block may read it, so a
+merge finds the states it can align in O(states).  All that the graph and
+the plan decide, validation, the cycle's edges and tree terms and the layout
+of its moment system included, is compiled once per (g, plan) into a
+`_Schedule`, which `reconstruct` replays as array operations on the rows it
+fixed.  Cycle couplings never appear alone in a sum rule, so their squares
+are solved jointly from second (and, for even cycles, third) central moments.
 """
 
 from __future__ import annotations
@@ -80,13 +81,13 @@ class _Recursion:
             self.families[dst] += moved
             self.node_family.update(dict.fromkeys(moved, dst))
 
-    def sum_rule(self, own: np.ndarray, known: list) -> tuple[np.ndarray, np.ndarray]:
+    def sum_rule(self, own: np.ndarray, known: list, b=None) -> tuple[np.ndarray, ...]:
         """Fields b = sum E v^2 and vectors (E - b) v - sum c v_u of some sites.
 
         ``own`` holds their columns as rows, ``known`` per site the neighbors
-        `known` lists; sites past its end have none.
+        `known` lists; sites past its end have none.  ``b`` may take the fields.
         """
-        b = np.add.reduce(self.eigenvalues * own * own, 1)
+        b = np.add.reduce(self.eigenvalues * own * own, 1, out=b)
         r = (self.eigenvalues - b[:, None]) * own
         # one neighbor at a time, in order; several in one reduce over their rows
         for i, (_, rows, edges) in enumerate(known):
@@ -100,17 +101,17 @@ class _Recursion:
         return b, r
 
     def advance(self, block: _Block) -> None:
-        self.replay(block)
+        self.replay(block, peaks=True)
         self.take(block)
 
-    def replay(self, block: _Block) -> None:
+    def replay(self, block: _Block, peaks: bool) -> None:
         """Run a block, one array operation per recursion step, and settle it.
 
-        Step 0 subtracts every known neighbor of each head, a later step only
-        the site before.  An arrival joining a holder aligns the states that
-        it and the holder, as grown by the arrivals before it, both carry.
-        Numeric errors alone are raised, in the order that running the
-        segments one at a time meets them, and before anything is written.
+        Step 0 subtracts every known neighbor of each head, a later step only the
+        site before.  An arrival joining a holder aligns the states that it and the
+        holder, as grown by the arrivals before it, both carry.  Numeric errors alone
+        are raised, in the order that running the segments one at a time meets them,
+        and before anything is written.  Family peaks are kept only if ``peaks``.
         """
         overlap, floor = self.tolerances.overlap_tol, self.tolerances.coupling_tol**2
         nodes, edges, sign = block.nodes, block.edges, block.sign
@@ -120,27 +121,28 @@ class _Recursion:
         arrivals[block.measured] = self.meas.moduli[rows]
         for j, _, row in block.tops:
             arrivals[j] = self.cols[row]
-        cols[: block.lead], peak = arrivals[: block.lead], np.abs(arrivals)
-        for j, family, _ in block.tops:
-            peak[j] = self.peak[family]
-        b_all, c_all = np.empty(len(nodes)), np.empty(len(nodes))
+        cols[: block.lead], peak = arrivals[: block.lead], peaks and np.abs(arrivals)
+        for j, family, _ in block.tops if peaks else ():
+            np.maximum(self.peak[family], peak[j], out=peak[j])
+        b_all, c_all = np.empty(len(nodes)), np.empty((len(nodes), 1))
         for lo, hi, a, back, going in block.steps:
-            v = cols[lo:hi]
-            np.maximum(peak[:a], np.abs(v), out=peak[:a])
-            b_all[lo:hi], r = self.sum_rule(v, () if lo else block.known)
-            if lo:
-                r -= c[:a, None] * cols[back : back + a]
-            c_sq = np.add.reduce(r * r, 1)
-            low = [lo + j for j, x in enumerate(c_sq.tolist()) if x <= floor]
-            if low:
-                value = math.sqrt(max(float(c_sq[low[0] - lo]), 0.0))
-                raise NearZeroDivisionError(nodes[low[0]], edges[low[0]], value)
-            c = c_all[lo:hi] = sign[lo:hi] * np.sqrt(c_sq)
-            r /= c[:, None]
-            cols[hi : hi + going], arrivals[going:a] = r[:going], r[going:]
+            _, r = self.sum_rule(cols[lo:hi], () if lo else block.known, b_all[lo:hi])
+            if lo:  # step 0 runs the heads, which the peaks hold already
+                r -= c[:a] * cols[back : back + a]
+                if peaks:
+                    np.maximum(peak[:a], np.abs(cols[lo:hi]), out=peak[:a])
+            c_sq = np.add.reduce(r * r, 1, keepdims=True)
+            for j, (x,) in enumerate(c_sq.tolist(), lo):
+                if x <= floor:
+                    raise NearZeroDivisionError(nodes[j], edges[j], math.sqrt(x))
+            c = np.multiply(sign[lo:hi], np.sqrt(c_sq), out=c_all[lo:hi])
+            if going:
+                np.divide(r[:going], c[:going], out=cols[hi : hi + going])
+            if going < a:
+                np.divide(r[going:], c[going:], out=arrivals[going:a])
 
         hold, logs, flips, eps = {}, {}, [], None
-        for t, held, first, dst, js, joins in block.terminals:
+        for t, held, first, dst, js, joins in block.terminals if peaks else ():
             ex = self.cols[held] if first is None else arrivals[first]
             if first is not None:
                 hold[dst] = np.maximum(peak[first], np.abs(ex))
@@ -177,7 +179,7 @@ class _Recursion:
         for key, value in ((f"merge_{t}", x) for t, x in logs.items()):
             self.mismatch_log[key] = max(self.mismatch_log.get(key, 0.0), value)
         self.fields.update(zip(nodes, b_all.tolist()))
-        self.couplings.update(zip(edges, c_all.tolist()))
+        self.couplings.update(zip(edges, c_all[:, 0].tolist()))
 
 
 class _Block:
@@ -213,7 +215,7 @@ class _Block:
         self.nodes = nodes = [s[k] for k, a in enumerate(active) for s in seqs[:a]]
         succ = [s[k + 1] for k, a in enumerate(active) for s in seqs[:a]]
         self.edges = list(map(edge_key, nodes, succ))
-        self.sign = np.array([sites.g.sign_of[e] for e in self.edges], dtype=float)
+        self.sign = np.array([[sites.g.sign_of[e]] for e in self.edges], dtype=float)
         # per step: lo, hi, a, the first row of the step before, the lanes going on
         self.steps = list(zip(start, start[1:], active, [0, *start], [*active[1:], 0]))
         self.lead = lead = active[0] if active else 0
@@ -274,17 +276,29 @@ class _Schedule:
             if any(p.seeded_by_measurement or p.nodes for _, p in batch):
                 self.blocks.append(block := _Block(sites, batch))
                 sites.take(block)
+        read, self.peaks = False, []  # peaks kept for merges and derived lanes
+        for block in reversed(self.blocks):
+            self.peaks.insert(0, read or any(joins for *_, joins in block.terminals))
+            read = self.peaks[0] or bool(block.tops)
         self.cycle = plan.cycle_plan
         if self.cycle is not None:
             cyc, measured = self.cycle.cycle, self.cycle.measured
             # edge i runs from site i to the next, so site i meets edges i - 1 and i
-            self.cycle_edges = list(map(edge_key, cyc, (*cyc[1:], cyc[0])))
+            edges = map(edge_key, cyc, (*cyc[1:], cyc[0]))
+            self.cycle_edges = [(e, g.sign_of[e]) for e in edges]
             self.rows = [None if n in measured else sites.row[n] for n in cyc]
             self.tree = [sites.known(n) for n in cyc]  # cycle edges are open yet
+            # the third moments' tree terms: (cycle row, site, tree neighbor, edge)
+            self.branches = [(i, n, u, e) for i, n in enumerate(cyc)
+                             for u, _, e in zip(*self.tree[i])]
             self.moments = ("second", "third") if len(cyc) % 2 == 0 else ("second",)
-            self.at, self.matrix = np.arange(len(cyc)), np.eye(len(cyc))
-            self.matrix[self.at, self.at - 1] = 1.0
-            sites.closed.update(self.cycle_edges)
+            at, k = np.arange(len(cyc)), len(cyc)
+            self.around = np.array([(at - 1) % k, (at + 1) % k])  # sites back, ahead
+            self.system = np.zeros((k * len(self.moments), k + 1))  # [matrix | rhs]
+            self.system[at, at] = self.system[at, self.around[0]] = 1.0
+            # third-moment row k + i: edges i - 1 and i by the field steps back and ahead
+            self.place = (k + at) * (k + 1) + np.array([self.around[0], at, [k] * k])
+            sites.closed.update(e for e, _ in self.cycle_edges)
         self.access, self.checks = frozenset(plan.access_set), plan.check_sites(g)
         self.known = [sites.known(n) for n in self.checks]
         self.keys, self.row = [f"site_{n}" for n in self.checks], sites.row
@@ -319,28 +333,28 @@ def _solve_cycle_moments(
     system stays rank deficient and the cycle cannot be resolved.
     """
     fields, couplings, tolerances = run.fields, run.couplings, run.tolerances
-    cyc, at, matrix = schedule.cycle.cycle, schedule.at, schedule.matrix
+    cyc, system = schedule.cycle.cycle, schedule.system.copy()
     length = len(cyc)
     vecs = np.array([run.meas.moduli[run.moduli_row[n]] if row is None else run.cols[row]
                      for n, row in zip(cyc, schedule.rows)])
     b, r = run.sum_rule(vecs, schedule.tree)
     fields.update(zip(cyc, b.tolist()))
-    rhs = np.add.reduce(r * r, 1)
+    np.add.reduce(r * r, 1, out=system[:length, length])
 
     if len(schedule.moments) > 1:
-        third = np.add.reduce((run.eigenvalues - b[:, None]) ** 3 * (vecs * vecs), 1)
-        for i, (n, (us, _, es)) in enumerate(zip(cyc, schedule.tree)):
-            for u, e in zip(us, es):
-                c = couplings[e]
-                third[i] -= c * c * (fields[u] - fields[n])
-        # row i weighs edge i - 1 by the field step back, edge i by the one ahead
-        rows = np.zeros((length, length))
-        rows[at, at - 1] = b[at - 1] - b
-        rows[at, at] = b[(at + 1) % length] - b
-        scale = np.abs(rows).max(axis=1)
-        keep = scale > 1e-12 * max(1.0, float(np.abs(b).max()))
-        matrix = np.concatenate([matrix, rows[keep] / scale[keep, None]])
-        rhs = np.concatenate([rhs, third[keep] / scale[keep]])
+        # column i: row k + i's field steps back and ahead, then its third moment
+        steps = np.empty((3, length))
+        np.subtract(b[schedule.around], b, out=steps[:2])
+        np.add.reduce((run.eigenvalues - b[:, None]) ** 3 * vecs**2, 1, out=steps[2])
+        for i, n, u, e in schedule.branches:
+            c = couplings[e]
+            steps[2, i] -= c * c * (fields[u] - fields[n])
+        scale = np.maximum.reduce(np.abs(steps[:2]))
+        keep = scale > 1e-12 * max(1.0, float(np.maximum.reduce(np.abs(b))))
+        system.flat[schedule.place] = np.divide(steps, scale, out=steps, where=keep)
+        if not all(keep.tolist()):
+            system = system[np.concatenate((np.ones(length, bool), keep))]
+    matrix, rhs = system[:, :length], system[:, length]
 
     solution, _, rank, sv = np.linalg.lstsq(matrix, rhs, rcond=None)
     if rank < length:
@@ -355,20 +369,19 @@ def _solve_cycle_moments(
             f"{tolerances.condition_limit:.3e}",
             condition,
         )
-    fit_residual = float(np.linalg.norm(matrix @ solution - rhs))
+    fit, squares = matrix @ solution - rhs, solution.tolist()
 
-    floor = -tolerances.slack_factor * max(float(solution.max()), 1.0)
-    for e, x in zip(schedule.cycle_edges, solution.tolist()):
+    floor = -tolerances.slack_factor * max(max(squares), 1.0)
+    for (e, sign), x in zip(schedule.cycle_edges, squares):
         if x < floor:
             raise InconsistentDataError(
                 f"squared coupling on cycle edge {e} solved to {x:.3e}; "
                 "the moment data contradicts the declared topology"
             )
-        couplings[e] = run.g.sign_of[e] * math.sqrt(max(x, 0.0))
+        couplings[e] = sign * math.sqrt(max(x, 0.0))
 
-    diagnostics = CycleDiagnostics(
-        condition, schedule.moments, int(rank), float(solution.min()), fit_residual
-    )
+    diagnostics = CycleDiagnostics(condition, schedule.moments, int(rank), min(squares),
+                                   math.sqrt(fit.dot(fit)))
     return diagnostics, ("RankAugmented",) if len(schedule.moments) > 1 else ()
 
 
@@ -428,7 +441,7 @@ def reconstruct(
     fields, couplings = run.fields, run.couplings
     for k, block in enumerate(schedule.blocks):
         try:
-            run.replay(block)
+            run.replay(block, schedule.peaks[k])
         except GatewayTomoError:
             # nothing was written: one at a time, the earliest failing segment raises
             if len(block.batch) > 1:

@@ -138,6 +138,33 @@ def test_measured_sites_are_checked_labels_of_the_eigensystem(
     assert record.nodes == (1, 2) and all(type(n) is int for n in record.nodes)
 
 
+RECORDS = {
+    "SpectralMeasurement": lambda dimer, sites: SpectralMeasurement(
+        sites, dimer.eigenvalues, np.abs(dimer.vectors), Provenance("exact")),
+    "DecaySeries": lambda dimer, sites: DecaySeries(
+        sites, dimer.eigenvalues, [0.0, 1.0],
+        np.repeat(np.abs(dimer.vectors)[:, None], 2, axis=1)),
+}
+
+
+@pytest.mark.parametrize("site, message", [
+    (True, "site labels must be integers, got True"),
+    (1.0, "site labels must be integers, got 1.0"),
+    (np.int64(1), "site labels must be integers"),
+    ("1", "site labels must be integers, got '1'"),
+    (0, "site labels must be positive, got 0"),
+])
+@pytest.mark.parametrize("record", RECORDS)
+def test_records_check_their_site_labels(record, site, message, dimer):
+    """A record built by hand is no looser than a measured one: True, 1.0 or
+    np.int64(1) would name site 1 to `reconstruct`, and "True" is no JSON key
+    that `measurement_from_json` reads back."""
+    with pytest.raises(InputError, match=message):
+        RECORDS[record](dimer, (site, 2))
+    built = RECORDS[record](dimer, [1, 2])
+    assert built.nodes == (1, 2) and all(type(n) is int for n in built.nodes)
+
+
 def test_measured_rows_match_the_sites_amplitudes():
     eig = generic_system(np.random.default_rng(5), NetworkGraph.from_edges(
         [(1, 2), (2, 3), (2, 4), (4, 5)]))[3]

@@ -19,6 +19,7 @@ from gateway_tomo import (
     GatewayTomoError,
     HamiltonianParams,
     IllConditionedError,
+    InconsistentDataError,
     InputError,
     NearZeroDivisionError,
     NetworkGraph,
@@ -32,6 +33,7 @@ from gateway_tomo import (
     compute_access_plan,
     eigendecompose,
     gauge_fix,
+    graph_from_json,
     measure_exact,
     measure_shots,
     params_from_json,
@@ -633,6 +635,46 @@ def test_connector_junction_feeding_cycle(rng):
     result = reconstruct(g, plan, meas)
     assert max_param_error(params, result.params) < 1e-9
     assert result.cycle_diagnostics.moments_used == ("second",)
+
+
+def test_fmo_shot_record_contradicting_the_cycle_is_refused():
+    """The bundled FMO network and plan on a 100-shot record (seed 2): the
+    moment solve gives cycle edge (4, 7) a negative squared coupling."""
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    g = graph_from_json(json.loads((configs / "fmo_graph.json").read_text()))
+    params = params_from_json(json.loads((configs / "fmo_params.json").read_text()))
+    plan = compute_access_plan(g)
+    eig = gauge_fix(eigendecompose(assemble_single_excitation(g, params)), plan.reference)
+    meas = measure_shots(eig, plan.access_set, 100, seed=2)
+    with pytest.raises(InconsistentDataError) as info:
+        reconstruct(g, plan, meas)
+    assert info.value.flag == "InconsistentData"
+    assert str(info.value) == (
+        "squared coupling on cycle edge (4, 7) solved to -2.149e-01; "
+        "the moment data contradicts the declared topology"
+    )
+
+
+@pytest.mark.parametrize("edges, length", [
+    ([(1, 2), (2, 3), (3, 4), (1, 4), (1, 5), (5, 6), (3, 7), (2, 8)], 4),
+    ([(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (1, 7), (7, 8), (4, 9),
+      (3, 10), (10, 11)], 6),
+    ([(1, 2), (2, 3), (1, 3), (1, 4), (4, 5), (2, 6)], 3),
+    ([(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 6), (3, 7), (7, 8), (4, 9)], 5),
+])
+def test_cycles_with_branches_on_several_sites_roundtrip(rng, edges, length):
+    """Tree branches on two or more cycle sites put several known-neighbor
+    terms into the second moments and, on even cycles, the third."""
+    g, params, plan, eig, meas = generic_system(rng, NetworkGraph.from_edges(edges))
+    assert len(plan.cycle_plan.cycle) == length
+    assert len(plan.cycle_plan.attachments) >= 2
+    result = reconstruct(g, plan, meas)
+    assert max_param_error(params, result.params) < 1e-9
+    diag = result.cycle_diagnostics
+    even = length % 2 == 0
+    assert diag.moments_used == (("second", "third") if even else ("second",))
+    assert diag.rank == length
+    assert result.flags == (("RankAugmented",) if even else ())
 
 
 # ------------------------------------------------------ result handling

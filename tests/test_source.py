@@ -46,3 +46,23 @@ def test_private_names_are_imported_only_from_json():
         if alias.name.startswith("_")
     ]
     assert found == []
+
+
+def test_replay_and_cycle_solve_read_no_graph_fact():
+    """Edges, signs and known neighbors come from the schedule, compiled once
+    per (graph, plan); what runs per record reads none of them itself."""
+    tree = ast.parse((SOURCES[0].parent / "reconstruction.py").read_text())
+    bodies = {node.name: node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef)
+              and node.name in ("replay", "_solve_cycle_moments")}
+    found = [
+        f"{name}:{node.lineno}"
+        for name, body in bodies.items()
+        for node in ast.walk(body)
+        if isinstance(node, ast.Attribute) and node.attr in ("g", "adjacency", "sign_of")
+        or isinstance(node, ast.Name) and node.id == "edge_key"
+        or isinstance(node, ast.Call) and getattr(node.func, "attr",
+                                                  getattr(node.func, "id", None)) == "known"
+    ]
+    assert sorted(bodies) == ["_solve_cycle_moments", "replay"]
+    assert found == []
