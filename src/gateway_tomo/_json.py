@@ -1,16 +1,18 @@
 """The input rules for every site label, number and JSON object from outside.
 
-``_check_site`` takes positive int labels.  ``scalar`` takes what numpy reads
-as a 0-d integer or float array (no bool, complex, text, bytes, None, list or
-int too large for numpy), finite unless its bounds say otherwise; ``numbers``
-takes arrays of such elements.  ``strict_object`` and ``site_keyed`` take
-objects with just their schema's keys.  Bad input raises InputError naming the
-argument, or the document and its key.
+``_check_site`` takes positive int labels, ``site_labels`` sequences of them.
+``scalar`` takes what numpy reads as a 0-d integer or float array (no bool,
+complex, text, bytes, None, list or int too large for numpy), finite unless
+its bounds say otherwise; ``numbers`` takes arrays of such elements.
+``strict_object`` and ``site_keyed`` take objects with just their schema's
+keys.  Bad input raises InputError naming the argument, or the document and
+its key.
 """
 
 from __future__ import annotations
 
 import sys
+from typing import Iterable
 
 import numpy as np
 
@@ -29,6 +31,15 @@ def _check_site(n: object) -> int:
     if n < 1:
         raise InputError(f"site labels must be positive, got {n}")
     return n
+
+
+def site_labels(nodes: Iterable) -> tuple[int, ...]:
+    """``nodes`` as a tuple of site labels, checked in bulk: one set of types and
+    one ``min``; ``_check_site`` runs per label only to name an offender."""
+    nodes = tuple(nodes)
+    if {*map(type, nodes)} <= {int} and min(nodes, default=1) >= 1:
+        return nodes
+    return tuple(map(_check_site, nodes))
 
 
 def scalar(value: object, what: str, *args: object, integer: bool = False,

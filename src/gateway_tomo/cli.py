@@ -94,18 +94,12 @@ def parse_shots(text: str) -> int:
         raise argparse.ArgumentTypeError(f"bad shot count {text!r}") from None
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_list(text: str, kind: type) -> list:
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        return [kind(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise InputError(f"expected comma-separated integers, got {text!r}") from None
-
-
-def _parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise InputError(f"expected comma-separated numbers, got {text!r}") from None
+        noun = "integers" if kind is int else "numbers"
+        raise InputError(f"expected comma-separated {noun}, got {text!r}") from None
 
 
 def _parse_times(text: str) -> np.ndarray:
@@ -206,7 +200,7 @@ def _cmd_classify(args: argparse.Namespace) -> dict:
         "reason": reason,
     }
     if args.infect:
-        seeds = _parse_int_list(args.infect)
+        seeds = _parse_list(args.infect, int)
         closure = sorted(infection_closure(g, seeds))
         spreads = len(closure) == len(g.nodes)
         print(f"closure of {seeds}: {closure}")
@@ -250,7 +244,7 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
     if args.kind == "decaying":
         if args.times is None or args.gamma is None:
             raise InputError("--kind decaying needs --times and --gamma")
-        rates = _parse_float_list(args.gamma)
+        rates = _parse_list(args.gamma, float)
         if len(rates) == 1:
             rates = rates * len(eig.eigenvalues)
         times = _parse_times(args.times)
@@ -369,31 +363,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_)
+    # options several subcommands share, each declared once
+    graph, params, plan, shots, tol = (argparse.ArgumentParser(add_help=False)
+                                       for _ in range(5))
+    graph.add_argument("--graph", required=True)
+    params.add_argument("--params", required=True)
+    plan.add_argument("--reference", type=int)
+    plan.add_argument("--aggressive-plan", action="store_true")
+    shots.add_argument("--shots", type=parse_shots)
+    shots.add_argument("--seed", type=int)
+    tol.add_argument("--tol", action="append", metavar="NAME=VALUE",
+                     help="override a tolerance (repeatable)")
+
+    def add(name: str, func, help_: str, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_, parents=parents)
         p.set_defaults(func=func)
         p.add_argument("--out", help="write a JSON report to this path")
         return p
 
-    p = add("classify", _cmd_classify, "classify a graph's topology")
-    p.add_argument("--graph", required=True)
+    p = add("classify", _cmd_classify, "classify a graph's topology", graph)
     p.add_argument("--infect", metavar="SITES", help="comma-separated seed sites")
 
-    p = add("plan", _cmd_plan, "compute the access plan for a graph")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--reference", type=int)
-    p.add_argument("--aggressive-plan", action="store_true")
+    add("plan", _cmd_plan, "compute the access plan for a graph", graph, plan)
 
-    p = add("simulate", _cmd_simulate, "simulate measurement records")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--params", required=True)
-    p.add_argument("--reference", type=int)
-    p.add_argument("--aggressive-plan", action="store_true")
+    p = add("simulate", _cmd_simulate, "simulate measurement records",
+            graph, params, plan, shots, tol)
     p.add_argument(
         "--kind", choices=("exact", "shots", "decaying", "signal"), default="exact"
     )
-    p.add_argument("--shots", type=parse_shots)
-    p.add_argument("--seed", type=int)
     p.add_argument("--times", metavar="START:STOP:COUNT")
     p.add_argument("--gamma", metavar="RATES", help="decay rates, comma separated")
     p.add_argument("--noise", type=float, default=0.0)
@@ -406,26 +403,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("extrapolate", _cmd_extrapolate, "extrapolate a decay series to t=0")
     p.add_argument("--series", required=True)
 
-    p = add("reconstruct", _cmd_reconstruct, "reconstruct parameters")
-    p.add_argument("--graph", required=True)
+    p = add("reconstruct", _cmd_reconstruct, "reconstruct parameters", graph, plan, tol)
     p.add_argument("--measurement", required=True)
-    p.add_argument("--reference", type=int)
-    p.add_argument("--aggressive-plan", action="store_true")
     p.add_argument("--known-fields", help="JSON file of independently known fields")
 
-    p = add("roundtrip", _cmd_roundtrip, "simulate and reconstruct in one go")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--params", required=True)
-    p.add_argument("--reference", type=int)
-    p.add_argument("--aggressive-plan", action="store_true")
-    p.add_argument("--shots", type=parse_shots)
-    p.add_argument("--seed", type=int)
-
-    for name in ("simulate", "reconstruct", "roundtrip"):
-        sub.choices[name].add_argument(
-            "--tol", action="append", metavar="NAME=VALUE",
-            help="override a tolerance (repeatable)",
-        )
+    add("roundtrip", _cmd_roundtrip, "simulate and reconstruct in one go",
+        graph, params, plan, shots, tol)
     return parser
 
 

@@ -13,7 +13,6 @@ touched.  numpy only lays out the index arrays that assembly reads.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -23,11 +22,10 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ._json import _check_site, strict_object
+from ._json import _check_site, site_labels, strict_object
 from .errors import CapabilityError, InputError, NotEstimableError
 
 Edge = tuple[int, int]
-_SEARCH_CAP = 16  # most sites minimum_infecting_sets will search exhaustively
 
 
 def edge_key(u: int, v: int) -> Edge:
@@ -184,7 +182,7 @@ def infection_closure(g: NetworkGraph, seeds: Iterable[int]) -> frozenset[int]:
     worklist keeps a healthy-neighbor count per infected site and revisits
     only sites whose count may have dropped to one: O(N + E).
     """
-    infected = set(seeds)
+    infected = set(site_labels(seeds))
     adj = g.adjacency
     bad = infected - adj.keys()
     if bad:
@@ -214,28 +212,6 @@ def infection_closure(g: NetworkGraph, seeds: Iterable[int]) -> frozenset[int]:
 
 def is_infecting(g: NetworkGraph, seeds: Iterable[int]) -> bool:
     return len(infection_closure(g, seeds)) == len(g.nodes)
-
-
-def minimum_infecting_sets(g: NetworkGraph) -> tuple[tuple[int, ...], ...]:
-    """All infecting sets of minimum size, in lexicographic order.
-
-    Exhaustive search; refuses graphs with more than ``_SEARCH_CAP`` sites.
-    """
-    n = len(g.nodes)
-    if n > _SEARCH_CAP:
-        raise CapabilityError(
-            f"exhaustive infecting-set search over {n} sites exceeds the "
-            f"{_SEARCH_CAP}-site cap"
-        )
-    for size in range(1, n + 1):
-        hits = [
-            seeds
-            for seeds in itertools.combinations(g.nodes, size)
-            if is_infecting(g, seeds)
-        ]
-        if hits:
-            return tuple(hits)
-    raise AssertionError("the full node set always infects itself")
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +482,7 @@ def compute_access_plan(
     if len(g.nodes) < 2:
         raise InputError("access planning needs at least two sites")
     adj = g.adjacency
-    if reference is not None and reference not in adj:
+    if reference is not None and _check_site(reference) not in adj:
         raise InputError(f"reference site {reference} is not in the graph")
     if aggressive and topo.kind not in (TopologyKind.PATH, TopologyKind.TREE):
         raise CapabilityError("aggressive planning is only available for trees")

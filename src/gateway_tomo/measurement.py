@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._json import _check_site, numbers, scalar, site_keyed, strict_object
+from ._json import numbers, scalar, site_keyed, site_labels, strict_object
 from .errors import InputError
 from .spectral import EigenSystem
 
@@ -99,7 +99,7 @@ class SpectralMeasurement:
     provenance: Provenance
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(map(_check_site, self.nodes)))
+        object.__setattr__(self, "nodes", site_labels(self.nodes))
         vals = numbers(self.eigenvalues, "eigenvalues", 1)
         mods = numbers(self.moduli, "moduli")
         object.__setattr__(self, "eigenvalues", vals)
@@ -161,7 +161,7 @@ def _measured_sites(eig: EigenSystem, nodes: Iterable[int]) -> tuple[tuple, list
         raise InputError(
             "gauge-fix the eigensystem against a reference site before measuring"
         )
-    nodes = tuple(sorted(map(_check_site, nodes)))
+    nodes = tuple(sorted(site_labels(nodes)))
     for n in nodes:
         if n not in eig.index_of:
             raise InputError(f"site {n} is not part of this system")
@@ -223,7 +223,7 @@ class DecaySeries:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(map(_check_site, self.nodes)))
+        object.__setattr__(self, "nodes", site_labels(self.nodes))
         vals = numbers(self.eigenvalues, "eigenvalues", 1)
         times = numbers(self.times, "times")
         amps = numbers(self.amplitudes, "amplitudes")

@@ -158,7 +158,7 @@ class EigenSystem:
 
     def site_amplitudes(self, node: int) -> np.ndarray:
         """Row of amplitudes of every eigenstate at one site."""
-        if node not in self.index_of:
+        if _check_site(node) not in self.index_of:
             raise InputError(f"site {node} is not part of this system")
         return self.vectors[self.index_of[node]]
 

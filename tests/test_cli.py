@@ -1,5 +1,6 @@
 """Command line surface: exit codes, JSON artifacts, pipeline chaining."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ from gateway_tomo import (
     graph_to_json,
     params_to_json,
 )
-from gateway_tomo.cli import main
+from gateway_tomo.cli import _build_parser, main, parse_shots
 
 TREE8 = [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6), (6, 7), (7, 8)]
 
@@ -40,6 +41,78 @@ def path3_files(tmp_path):
         tmp_path, {1: 0.3, 2: -0.2, 3: 0.5}, {(1, 2): 0.8, (2, 3): 1.1}
     )
     return graph, params
+
+
+STORE, TRUE, APPEND = "_StoreAction", "_StoreTrueAction", "_AppendAction"
+OUT = (STORE, False, None, None, None, None, "write a JSON report to this path")
+FILE = (STORE, True, None, None, None, None, None)  # a required path
+REFERENCE = (STORE, False, None, int, None, None, None)
+AGGRESSIVE = (TRUE, False, False, None, None, None, None)
+TOL = (APPEND, False, None, None, None, "NAME=VALUE", "override a tolerance (repeatable)")
+# option -> (action, required, default, type, choices, metavar, help), per subcommand
+CLI_SURFACE = {
+    "classify": ("classify a graph's topology", {
+        "--out": OUT, "--graph": FILE,
+        "--infect": (STORE, False, None, None, None, "SITES", "comma-separated seed sites"),
+    }),
+    "plan": ("compute the access plan for a graph", {
+        "--out": OUT, "--graph": FILE, "--reference": REFERENCE,
+        "--aggressive-plan": AGGRESSIVE,
+    }),
+    "simulate": ("simulate measurement records", {
+        "--out": OUT, "--graph": FILE, "--params": FILE, "--reference": REFERENCE,
+        "--aggressive-plan": AGGRESSIVE,
+        "--kind": (STORE, False, "exact", None, ("exact", "shots", "decaying", "signal"),
+                   None, None),
+        "--shots": (STORE, False, None, parse_shots, None, None, None),
+        "--seed": (STORE, False, None, int, None, None, None),
+        "--times": (STORE, False, None, None, None, "START:STOP:COUNT", None),
+        "--gamma": (STORE, False, None, None, None, "RATES", "decay rates, comma separated"),
+        "--noise": (STORE, False, 0.0, float, None, None, None),
+        "--tol": TOL,
+    }),
+    "spectrum": ("estimate peaks from a return signal", {
+        "--out": OUT, "--signal": FILE,
+        "--n-peaks": (STORE, True, None, int, None, None, None),
+        "--window": (STORE, False, "rect", None, ("rect", "hann"), None, None),
+    }),
+    "extrapolate": ("extrapolate a decay series to t=0", {"--out": OUT, "--series": FILE}),
+    "reconstruct": ("reconstruct parameters", {
+        "--out": OUT, "--graph": FILE, "--measurement": FILE, "--reference": REFERENCE,
+        "--aggressive-plan": AGGRESSIVE,
+        "--known-fields": (STORE, False, None, None, None, None,
+                           "JSON file of independently known fields"),
+        "--tol": TOL,
+    }),
+    "roundtrip": ("simulate and reconstruct in one go", {
+        "--out": OUT, "--graph": FILE, "--params": FILE, "--reference": REFERENCE,
+        "--aggressive-plan": AGGRESSIVE,
+        "--shots": (STORE, False, None, parse_shots, None, None, None),
+        "--seed": (STORE, False, None, int, None, None, None),
+        "--tol": TOL,
+    }),
+}
+
+
+def test_cli_surface_is_pinned():
+    """Every option of every subcommand keeps its action, required flag, default,
+    type, choices, metavar and help; only their order in --help may change."""
+    (sub,) = [a for a in _build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    found = {}
+    for name, parser in sub.choices.items():
+        options = {}
+        for a in parser._actions:
+            if isinstance(a, argparse._HelpAction):
+                continue
+            (option,) = a.option_strings
+            assert a.dest == option[2:].replace("-", "_")
+            options[option] = (type(a).__name__, a.required, a.default, a.type,
+                               a.choices, a.metavar, a.help)
+        found[name] = (helps[name], options)
+    assert found == CLI_SURFACE
+    assert list(found) == list(CLI_SURFACE)  # the order subcommands are listed in
 
 
 def test_classify_reports_topology_and_closure(path3_files, capsys):

@@ -1,11 +1,13 @@
 """Rules the package source itself must keep."""
 
 import ast
+import re
 from pathlib import Path
 
 import gateway_tomo
 
 SOURCES = sorted(Path(gateway_tomo.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_package_has_no_assert_statements():
@@ -65,4 +67,58 @@ def test_replay_and_cycle_solve_read_no_graph_fact():
                                                   getattr(node.func, "id", None)) == "known"
     ]
     assert sorted(bodies) == ["_solve_cycle_moments", "replay"]
+    assert found == []
+
+
+def _definitions(tree: ast.Module):
+    """Top-level functions, classes and constants, and methods; no dunder names."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            found += [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+        elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            methods = node.body if isinstance(node, ast.ClassDef) else []
+            found += [(m.name, m) for m in [node, *methods]
+                      if isinstance(m, (ast.ClassDef, ast.FunctionDef))]
+    return [(name, node) for name, node in found if not name.startswith("__")]
+
+
+def _references(tree: ast.Module):
+    """(name, line) of every name read, attribute and identifier in a string,
+    leaving out docstrings, ``__all__`` and imports."""
+    skip = set()
+    for node in ast.walk(tree):
+        body = getattr(node, "body", None)
+        if isinstance(body, list) and body and isinstance(body[0], ast.Expr):
+            skip.add(body[0].value)  # a docstring, if it is a string
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+            skip.update(ast.walk(node.value))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node not in skip):  # getattr names, span names
+            yield from ((w, node.lineno) for w in re.findall(r"[A-Za-z_]\w*", node.value))
+
+
+def test_every_defined_name_is_used():
+    """Each function, method, class and module constant of the package is named
+    somewhere in src/, tests/, scripts/ or perfbench/ outside its own definition."""
+    others = [p for d in ("tests", "scripts", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in SOURCES + others}
+    used: dict[str, list] = {}
+    for path, tree in trees.items():
+        for name, line in _references(tree):
+            used.setdefault(name, []).append((path, line))
+    found = [
+        f"{path.name}:{node.lineno} {name}"
+        for path in SOURCES
+        for name, node in _definitions(trees[path])
+        if all(where == path and node.lineno <= line <= node.end_lineno
+               for where, line in used.get(name, ()))
+    ]
+    assert len(others) > 10
     assert found == []

@@ -20,8 +20,9 @@ from gateway_tomo import (
     gauge_fix,
     params_from_json,
     params_to_json,
+    return_amplitude,
 )
-from util import random_params, random_tree_edges
+from util import BAD_LABELS, random_params, random_tree_edges
 
 SQ2 = math.sqrt(2.0)
 
@@ -30,6 +31,18 @@ def path3_system():
     g = NetworkGraph.from_edges([(1, 2), (2, 3)])
     params = HamiltonianParams({1: 0.0, 2: 0.0, 3: 0.0}, {(1, 2): 1.0, (2, 3): 1.0})
     return g, params
+
+
+@pytest.mark.parametrize("site, message", BAD_LABELS)
+def test_gauge_fix_and_site_lookups_check_site_labels(site, message):
+    """The gauge reference a system records is a site label, not a value equal to one."""
+    g, params = path3_system()
+    eig = eigendecompose(assemble_single_excitation(g, params))
+    for call in (lambda: gauge_fix(eig, site), lambda: eig.site_amplitudes(site),
+                 lambda: return_amplitude(eig, site, [0.0, 1.0])):
+        with pytest.raises(InputError, match=message):
+            call()
+    assert type(gauge_fix(eig, 1).gauge_reference) is int
 
 
 # ------------------------------------------------------------- assembly

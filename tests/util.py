@@ -203,6 +203,16 @@ def closure_mask(adj: list[int], seed_mask: int) -> int:
     return infected
 
 
+# labels the site rule refuses, each with the message it raises
+BAD_LABELS = [
+    (True, "site labels must be integers, got True"),
+    (1.0, "site labels must be integers, got 1.0"),
+    (np.int64(1), "site labels must be integers"),
+    ("1", "site labels must be integers, got '1'"),
+    (0, "site labels must be positive, got 0"),
+]
+
+
 def brute_minimum_sets(g: NetworkGraph) -> tuple[tuple[int, ...], ...]:
     """Smallest infecting subsets by exhaustive search over closure_mask."""
     adj, index = graph_to_masks(g)
