@@ -29,7 +29,8 @@ Edge = tuple[int, int]
 
 
 def edge_key(u: int, v: int) -> Edge:
-    """Canonical (smaller, larger) form of an undirected edge."""
+    """Canonical (smaller, larger) form of an undirected edge of site labels."""
+    u, v = _check_site(u), _check_site(v)
     if u == v:
         raise InputError(f"self-loop at site {u} is not allowed")
     return (u, v) if u < v else (v, u)
@@ -66,7 +67,7 @@ class NetworkGraph:
         for e in raw_edges:
             if len(e) != 2:
                 raise InputError(f"edge {e!r} is not a pair of sites")
-        keyed = [edge_key(_check_site(u), _check_site(v)) for u, v in raw_edges]
+        keyed = [edge_key(u, v) for u, v in raw_edges]
         if len(set(keyed)) != len(keyed):
             dupes = sorted({e for e in keyed if keyed.count(e) > 1})
             raise InputError(f"duplicate edges: {dupes}")
@@ -163,7 +164,7 @@ def graph_from_json(data: object) -> NetworkGraph:
     edges, signs = [], {}
     for i, item in enumerate(doc["edges"]):
         item = strict_object(item, f"graph edge {i}", ("u", "v"), ("sign",))
-        e = edge_key(_check_site(item["u"]), _check_site(item["v"]))
+        e = edge_key(item["u"], item["v"])
         edges.append(e)
         if "sign" in item:
             signs[e] = item["sign"]
@@ -474,7 +475,17 @@ def compute_access_plan(
     dead end.  A branching site that may fire heads a derived segment once
     exactly one of its edges is still open.  The plan is valid by
     construction; ``reconstruct`` validates it once per (g, plan).
+
+    A network is planned once: the first plan for each (``reference``,
+    ``aggressive``) pair, with ``reference`` None or an int and ``aggressive``
+    a bool, is kept on ``g`` and returned again as the same object, so
+    ``reconstruct`` finds its schedule by identity.  Errors are not kept, and
+    other argument types are planned afresh on every call.
     """
+    memo = (reference is None or type(reference) is int) and type(aggressive) is bool
+    plans = g.__dict__.setdefault("_plans", {})
+    if memo and (reference, aggressive) in plans:
+        return plans[reference, aggressive]
     ok, reason = is_estimable(g)
     if not ok:
         raise NotEstimableError(reason)
@@ -557,7 +568,7 @@ def compute_access_plan(
             tuple(topo.cycle), tuple(sorted(cycle - hubs)), tuple(sorted(cycle & hubs))
         )
 
-    return AccessPlan(
+    plan = AccessPlan(
         reference=ref,
         access_set=tuple(sorted(access)),
         reference_path=tuple(path),
@@ -565,3 +576,6 @@ def compute_access_plan(
         cycle_plan=cycle_plan,
         aggressive=aggressive,
     )
+    if memo:
+        plans[reference, aggressive] = plan
+    return plan

@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._json import numbers, scalar, site_keyed, site_labels, strict_object
+from ._json import _check_site, numbers, scalar, site_keyed, site_labels, strict_object
 from .errors import InputError
 from .spectral import EigenSystem
 
@@ -126,11 +126,9 @@ class SpectralMeasurement:
             )
 
     def moduli_of(self, node: int) -> np.ndarray:
-        try:
-            i = self.nodes.index(node)
-        except ValueError:
-            raise InputError(f"site {node} was not measured") from None
-        return self.moduli[i]
+        if _check_site(node) not in self.nodes:
+            raise InputError(f"site {node} was not measured")
+        return self.moduli[self.nodes.index(node)]
 
 
 def measurement_to_json(m: SpectralMeasurement) -> dict:

@@ -37,7 +37,7 @@ class HamiltonianParams:
                       for n, b in self.local_fields.items()}
             coups = {}
             for (u, v), c in self.couplings.items():
-                key = edge_key(_check_site(u), _check_site(v))
+                key = edge_key(u, v)
                 if key in coups:
                     raise InputError(f"coupling for edge {key} given twice")
                 coups[key] = float(scalar(c, "coupling at edge ({}, {})", u, v))

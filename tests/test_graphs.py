@@ -13,6 +13,7 @@ from gateway_tomo import (
     AccessPlan,
     BranchPeel,
     CapabilityError,
+    GatewayTomoError,
     InputError,
     NetworkGraph,
     NotEstimableError,
@@ -644,3 +645,83 @@ def test_aggressive_spine_matches_brute_force_oracle(seed, n, equal_legs):
     tail = plan.peel_schedule[len(plan.peel_schedule) - len(segments):]
     assert [(p.head, p.nodes, p.terminal) for p in tail] == segments
     assert not any(p.seeded_by_measurement for p in tail)
+
+
+# ------------------------------------------------------------ one plan per graph
+
+
+def test_plan_is_kept_per_graph_and_arguments(tree8_graph):
+    """A network is planned once: the same graph and arguments give the same
+    plan object, and each (reference, aggressive) pair its own."""
+    g = tree8_graph
+    asked = [(None, False), (None, True), (1, False), (5, False), (8, True)]
+    plans = {key: compute_access_plan(g, key[0], aggressive=key[1]) for key in asked}
+    for (reference, aggressive), plan in plans.items():
+        assert compute_access_plan(g, reference, aggressive=aggressive) is plan
+    assert len({id(plan) for plan in plans.values()}) == len(asked)
+    assert compute_access_plan(g) is plans[None, False]
+    # an argument the planner does not take unchanged is planned afresh
+    fresh = compute_access_plan(g, aggressive=1)
+    assert fresh == plans[None, True] and fresh is not compute_access_plan(g, aggressive=1)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(3, 14),
+       st.sampled_from(["tree", "path", "unicyclic"]))
+def test_kept_plan_equals_the_plan_of_an_equal_graph(seed, n, family):
+    """The kept plan is the one an equal but distinct graph gets, for every
+    leaf as the reference, standard and (trees and paths) aggressive."""
+    rng = np.random.default_rng(seed)
+    if family == "tree":
+        edges = random_tree_edges(rng, n)
+    elif family == "path":
+        cut = int(rng.integers(1, n - 1))
+        edges = random_spider_edges(rng, [cut, n - 1 - cut])
+    else:
+        edges = random_unicyclic_edges(rng, n, int(rng.integers(3, n + 1)))
+    plain = NetworkGraph.from_edges(edges)
+    signs = [int(s) for s in rng.choice([-1, 1], size=len(plain.edges))]
+    g = NetworkGraph(plain.nodes, plain.edges, signs)
+    twin = NetworkGraph(g.nodes, g.edges, g.signs)
+    assert twin == g and twin is not g
+    leaves = [v for v in g.nodes if g.degree(v) == 1]
+    for aggressive in (False,) if family == "unicyclic" else (False, True):
+        for reference in (None, *leaves):
+            plan = compute_access_plan(g, reference, aggressive=aggressive)
+            assert compute_access_plan(g, reference, aggressive=aggressive) is plan
+            other = compute_access_plan(twin, reference, aggressive=aggressive)
+            assert other == plan and other is not plan
+            assert hash(other) == hash(plan)
+
+
+K4 = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+PLAN_REFUSALS = {
+    "multi-cycle": (K4, {}, NotEstimableError),
+    "multi-cycle-before-label": (K4, {"reference": True}, NotEstimableError),
+    **{f"label-{site!r}": (STAR, {"reference": site}, InputError) for site, _ in BAD_LABELS},
+    "non-leaf": (STAR, {"reference": 5}, InputError),
+    "unknown-site": (STAR, {"reference": 99}, InputError),
+    "aggressive-unicyclic": (FMO, {"aggressive": True}, CapabilityError),
+    "aggressive-unicyclic-reference": (FMO, {"reference": 1, "aggressive": True},
+                                       CapabilityError),
+}
+
+
+def refusal(call) -> tuple:
+    with pytest.raises(GatewayTomoError) as info:
+        call()
+    return type(info.value), info.value.flag, str(info.value)
+
+
+@pytest.mark.parametrize("case", PLAN_REFUSALS)
+def test_plan_refusals_are_not_kept(case):
+    """A refused call raises the same again, before and after plans of the
+    graph are kept; ``reference=True`` included, though True == 1."""
+    edges, kwargs, error = PLAN_REFUSALS[case]
+    g = NetworkGraph.from_edges(edges)
+    first = refusal(lambda: compute_access_plan(g, **kwargs))
+    assert first[0] is error
+    assert refusal(lambda: compute_access_plan(g, **kwargs)) == first
+    if error is not NotEstimableError:
+        assert compute_access_plan(g, 1) is compute_access_plan(g, 1)
+        compute_access_plan(g)
+        assert refusal(lambda: compute_access_plan(g, **kwargs)) == first

@@ -762,6 +762,20 @@ def test_schedule_is_validated_once_per_graph_and_plan(monkeypatch, rng, fmo_gra
     assert _schedule.cache_info().misses == 1
 
 
+def test_kept_plan_finds_its_schedule_by_identity(monkeypatch, rng, fmo_graph):
+    """A graph keeps its plan, so a second roundtrip's schedule lookup is one
+    hit that compares no plan field by field."""
+    g, params, plan, eig, meas = generic_system(rng, fmo_graph, random_signs=False)
+    first = result_to_json(reconstruct(g, compute_access_plan(g), meas))
+    compared, eq = [], AccessPlan.__eq__
+    monkeypatch.setattr(AccessPlan, "__eq__", lambda a, b: compared.append(b) or eq(a, b))
+    before = _schedule.cache_info()
+    assert result_to_json(reconstruct(g, compute_access_plan(g), meas)) == first
+    after = _schedule.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert compared == []
+
+
 def test_invalid_plan_raises_on_every_call(monkeypatch):
     g, plan, meas = claimed_twice_case()
     calls = count_validations(monkeypatch)

@@ -3,8 +3,29 @@
 import ast
 import re
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 import gateway_tomo
+from gateway_tomo import (
+    DecayModel,
+    HamiltonianParams,
+    InputError,
+    NetworkGraph,
+    assemble_single_excitation,
+    compute_access_plan,
+    edge_key,
+    eigendecompose,
+    gauge_fix,
+    infection_closure,
+    is_infecting,
+    measure_decaying,
+    measure_exact,
+    measure_shots,
+    return_amplitude,
+)
+from util import BAD_LABELS
 
 SOURCES = sorted(Path(gateway_tomo.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parents[1]
@@ -122,3 +143,63 @@ def test_every_defined_name_is_used():
     ]
     assert len(others) > 10
     assert found == []
+
+
+def label_setup() -> SimpleNamespace:
+    """A 3-site path, its eigensystem raw and gauge-fixed, and an exact record."""
+    g = NetworkGraph.from_edges([(1, 2), (2, 3)])
+    params = HamiltonianParams({1: 0.0, 2: 0.1, 3: -0.1}, {(1, 2): 1.0, (2, 3): 0.9})
+    eig = eigendecompose(assemble_single_excitation(g, params))
+    fixed = gauge_fix(eig, 1)
+    return SimpleNamespace(g=g, eig=eig, fixed=fixed, meas=measure_exact(fixed, [1, 3]))
+
+
+# Each parameter of a public function or method that takes site labels, as
+# (qualified name, parameter), with a call that puts one label in its place.
+LABEL_TAKERS = {
+    ("edge_key", "u"): lambda s, n: edge_key(n, 2),
+    ("edge_key", "v"): lambda s, n: edge_key(2, n),
+    ("infection_closure", "seeds"): lambda s, n: infection_closure(s.g, [n]),
+    ("is_infecting", "seeds"): lambda s, n: is_infecting(s.g, [n]),
+    ("compute_access_plan", "reference"): lambda s, n: compute_access_plan(s.g, n),
+    ("EigenSystem.site_amplitudes", "node"): lambda s, n: s.eig.site_amplitudes(n),
+    ("gauge_fix", "reference"): lambda s, n: gauge_fix(s.eig, n),
+    ("SpectralMeasurement.moduli_of", "node"): lambda s, n: s.meas.moduli_of(n),
+    ("measure_exact", "nodes"): lambda s, n: measure_exact(s.fixed, [n]),
+    ("measure_shots", "nodes"): lambda s, n: measure_shots(s.fixed, [n], 100, seed=1),
+    ("measure_decaying", "nodes"): lambda s, n: measure_decaying(
+        s.fixed, [n], [0.0, 1.0], DecayModel((0.01, 0.01, 0.01))),
+    ("return_amplitude", "reference"): lambda s, n: return_amplitude(s.fixed, n, [0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("site, message", BAD_LABELS)
+@pytest.mark.parametrize("taker", LABEL_TAKERS, ids="/".join)
+def test_every_label_taker_refuses_bad_labels(taker, site, message):
+    """True, 1.0 or np.int64(1) would find site 1 in a dict or tuple lookup."""
+    with pytest.raises(InputError, match=message):
+        LABEL_TAKERS[taker](label_setup(), site)
+
+
+def test_every_public_label_parameter_is_in_the_table():
+    """A public function or method with a parameter named as site labels are
+    (``node``, ``nodes``, ``reference``, ``seeds``, ``u``, ``v``) has a row in
+    ``LABEL_TAKERS``, so the test above passes it every bad label."""
+    names = {"node", "nodes", "reference", "seeds", "u", "v"}
+    found = set()
+    for path in SOURCES:
+        if path.name.startswith("_"):  # __init__ re-exports, _json holds the rules
+            continue
+        for node in ast.parse(path.read_text(), str(path)).body:
+            defs = [("", node)]
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                defs = [(f"{node.name}.", m) for m in node.body]
+            found |= {
+                (prefix + f.name, a.arg)
+                for prefix, f in defs
+                if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+                for a in f.args.posonlyargs + f.args.args + f.args.kwonlyargs
+                if a.arg in names
+            }
+    assert sorted(found - set(LABEL_TAKERS)) == []
+    assert sorted(set(LABEL_TAKERS) - found) == []
