@@ -11,9 +11,10 @@ there are few peaks, by one padded FFT when there are many.  What depends
 only on the sample count m and the window (the taper, the direct
 transform's block geometry, offset powers and m-th roots of unity) is built
 once per (m, window) and memoised, read-only, for the last ``_GRIDS`` (8)
-pairs: about 1 MB per entry at m = 32768, so at most about 8 MB.  The decay
-extrapolator fits a straight line to log amplitudes over time, per site and
-eigenstate, and reads the time-zero modulus off the intercept.
+pairs, with work arrays lent to one call at a time: 0.25 MB of tables and
+0.6 MB per work set at m = 8192 and 7 peaks, 0.9 and 1.6 MB at 32768.  The
+decay extrapolator fits a straight line to log amplitudes over time, per
+site and eigenstate, and reads the time-zero modulus off the intercept.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ _WINDOWS = ("rect", "hann")
 _PAD = 8  # zero-padding factor of the refinement spectrum
 _OFFSETS = np.arange(-_PAD - 1, _PAD + 2)  # a peak's window: 19 padded bins
 _ZOOM_COST = 0.325  # one multiply-add of the window transform, in FFT operations
-_GRIDS = 8  # (m, window) table sets kept; about 1 MB each at m = 32768
+_GRIDS = 8  # (m, window) table sets kept, with their work arrays
 _DRIFT_TOL = 0.2  # rms log residual above which a decay fit is flagged
 
 
@@ -72,6 +73,16 @@ class _Grid(NamedTuple):
     starts: np.ndarray  # (B + Q,) the in-row offsets, then the row starts
     shift: np.ndarray  # (B + Q, 19) s^o, o in _OFFSETS, s a start's (_PAD m)-th root
     roots: np.ndarray  # (m,) the m m-th roots of unity, exp(-2 pi i k / m)
+    spares: list  # _Work sets not lent to a call; pop and append are atomic
+
+
+class _Work:
+    """Scratch arrays lent to one estimate at a time; no output views them."""
+
+    def __init__(self, grid: _Grid):
+        self.x = np.zeros(grid.rows * grid.block, complex)  # only x[:m] is ever written
+        self.ring = np.empty(grid.roots.size + 2)
+        self.zoom = np.empty(0, complex)  # grown to the largest P zoomed
 
 
 @functools.lru_cache(maxsize=_GRIDS)
@@ -88,23 +99,30 @@ def _grid(m: int, window: str) -> _Grid:
     roots = _unit(np.arange(m), m)
     for table in (taper, starts, shift, roots):
         table.flags.writeable = False
-    return _Grid(taper, float(taper.sum()), block, rows, starts, shift, roots)
+    return _Grid(taper, float(taper.sum()), block, rows, starts, shift, roots, [])
 
 
-def _zoom_window(x: np.ndarray, kept: np.ndarray, grid: _Grid) -> np.ndarray:
+def _zoom_window(x: np.ndarray, kept: np.ndarray, grid: _Grid, work=None) -> np.ndarray:
     """Magnitudes of the _PAD-fold padded spectrum in each kept peak's window.
 
     An exact DTFT at the window bins by blocked angle addition: ``x`` holds
     the m tapered samples zero-filled to Q rows of B, each row is
     transformed by its in-row phases in one (Q x B) @ (B x 19P) product, and
     the rows are summed at their start phases.  Each phase is a peak's m-th
-    root of unity at an exact integer turn, times the offset factor s^o.
+    root of unity at an exact integer turn, times the offset factor s^o.  The
+    in-row, then the row-start phases (Q <= B) share one part of ``work.zoom``.
     """
-    m = grid.roots.size
-    root = grid.roots[np.outer(grid.starts, kept) % m]
-    phases = (root[:, :, None] * grid.shift[:, None, :]).reshape(len(root), -1)
-    inner = x.reshape(grid.rows, grid.block) @ phases[: grid.block]
-    inner *= phases[grid.block :]
+    work = work or _Work(grid)
+    block, rows, n = grid.block, grid.rows, len(kept) * len(_OFFSETS)
+    if work.zoom.size < (block + rows) * n:
+        work.zoom = np.empty((block + rows) * n, complex)
+    phases = work.zoom[: block * n].reshape(block, len(kept), len(_OFFSETS))
+    inner = work.zoom[block * n : (block + rows) * n].reshape(rows, n)
+    root = grid.roots[np.outer(grid.starts, kept) % grid.roots.size]
+    np.multiply(root[:block, :, None], grid.shift[:block, None, :], out=phases)
+    np.matmul(x.reshape(rows, block), phases.reshape(block, n), out=inner)
+    np.multiply(root[block:, :, None], grid.shift[block:, None, :], out=phases[:rows])
+    inner *= phases[:rows].reshape(rows, n)
     return np.abs(inner.sum(axis=0)).reshape(len(kept), len(_OFFSETS))
 
 
@@ -145,11 +163,12 @@ def estimate_spectrum_fft(
 
     The taper, the direct transform's block geometry and its phase tables
     depend on m and the window alone; they are built on the first call for
-    that pair and kept, read-only, for the last ``_GRIDS`` (8) pairs, about
-    1 MB per pair at m = 32768.  Each call then tapers the signal straight
-    into the zero-filled block buffer, scans the unpadded spectrum for
-    strict circular maxima and gathers the kept peaks' roots of unity from
-    the cached table.  The signal's own uniform-grid check gives its step.
+    that pair and kept, read-only, for the last ``_GRIDS`` (8) pairs, each
+    with a pool of work sets (1.6 MB at m = 32768 and 7 peaks), one lent to
+    each running call.  A call tapers the signal straight into its set's
+    zero-filled block buffer, scans the unpadded spectrum for strict
+    circular maxima and gathers the kept peaks' roots of unity from the
+    cached table.  The signal's own uniform-grid check gives its step.
     """
     scalar(n_peaks, "number of peaks", integer=True, low=1)
     if window not in _WINDOWS:
@@ -164,19 +183,23 @@ def estimate_spectrum_fft(
     dt = signal.dt
 
     grid = _grid(m, window)
-    x = np.zeros(grid.rows * grid.block, complex)
-    np.multiply(signal.values, grid.taper, out=x[:m])
-
-    # the magnitudes between copies of their circular neighbours
-    ring = np.empty(m + 2)
-    mag = ring[1:-1]
-    np.abs(np.fft.fft(x[:m]), out=mag)
-    ring[0], ring[-1] = mag[-1], mag[0]
-    candidates = np.flatnonzero((mag > ring[:-2]) & (mag > ring[2:]))
-    kept = candidates[np.argsort(mag[candidates])[::-1]][:n_peaks]
-
-    zoom = _ZOOM_COST * len(_OFFSETS) * len(kept) * m < _PAD * m * math.log2(_PAD * m)
-    spectrum = _zoom_window(x, kept, grid) if zoom else _fft_window(x[:m], kept)
+    try:
+        work = grid.spares.pop()
+    except IndexError:
+        work = _Work(grid)
+    try:
+        x, ring = work.x, work.ring
+        np.multiply(signal.values, grid.taper, out=x[:m])
+        # the magnitudes between copies of their circular neighbours
+        mag = ring[1:-1]
+        np.abs(np.fft.fft(x[:m]), out=mag)
+        ring[0], ring[-1] = mag[-1], mag[0]
+        candidates = np.flatnonzero((mag > ring[:-2]) & (mag > ring[2:]))
+        kept = candidates[np.argsort(mag[candidates])[::-1]][:n_peaks]
+        zoom = _ZOOM_COST * len(_OFFSETS) * len(kept) * m < _PAD * m * math.log2(_PAD * m)
+        spectrum = _zoom_window(x, kept, grid, work) if zoom else _fft_window(x[:m], kept)
+    finally:
+        grid.spares.append(work)
     # the highest of the inner 17 bins, first on ties, and its two neighbours
     peak = 1 + np.argmax(spectrum[:, 1:-1], axis=1)
     triple = np.take_along_axis(spectrum, peak[:, None] + [-1, 0, 1], axis=1)

@@ -1,6 +1,9 @@
 """Fourier peak estimation and decay extrapolation."""
 
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,34 +311,128 @@ def _outputs(sig, n_peaks, window):
     return arrays, est.resolution, est.warnings
 
 
-def test_cached_tables_give_the_cold_result():
-    """Estimates through a warm cache are bitwise those of a cold one, the
-    cached tables are read-only and no returned array shares their memory."""
-    fmo = next(sig for name, sig, *_ in _parity_cases() if name == "fmo-0")
-    rng = np.random.default_rng(17)
-    times = np.arange(1024) * 0.3
+def _noisy_tones(m, seed):
+    """Three tones in complex noise: hundreds of maxima, so any P is found."""
+    rng = np.random.default_rng(seed)
+    times = np.arange(m) * 0.3
     tones = np.exp(-1j * np.outer(times, [-1.0, 0.4, 2.2])).sum(axis=1)
-    noise = rng.normal(size=1024) + 1j * rng.normal(size=1024)
-    noisy = TimeSignal(times, tones + 0.3 * noise)
-    calls = [(noisy, 7, "hann"), (fmo, 7, "rect"), (noisy, 7, "hann")]
-    cold = []
-    for call in calls:
-        estimation._grid.cache_clear()
-        cold.append(_outputs(*call))
+    noise = rng.normal(size=m) + 1j * rng.normal(size=m)
+    return TimeSignal(times, tones + 0.3 * noise)
+
+
+def test_cached_tables_give_the_cold_result():
+    """Estimates through a warm cache and reused work arrays are bitwise those
+    of a cold one, with both windows and both window fillers (3 and 7 peaks
+    zoom, 40 take the padded FFT), at m = 1000 (blocks of 32 x 32, so a zero
+    tail of 24), 1024 and 8192, on two signals interleaved at each length.
+    The cached tables are read-only, and no returned array shares their
+    memory or that of a lent work set."""
+    fmo = next(sig for name, sig, *_ in _parity_cases() if name == "fmo-0")
+    calls = [(fmo, 7, "rect"), (_noisy_tones(8192, 19), 40, "hann"), (fmo, 7, "hann")]
+    for m in (1000, 1024):
+        for window in ("rect", "hann"):
+            for n_peaks in (7, 3, 40, 7):
+                calls += [(_noisy_tones(m, n_peaks), n_peaks, window)]
+                calls += [(_noisy_tones(m, 18), n_peaks, window)]
+    calls += [(fmo, 7, "rect")]
+    zooms = []
+    zoom = estimation._zoom_window
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimation, "_zoom_window", lambda *a: zooms.append(1) or zoom(*a))
+        cold = []
+        for call in calls:
+            estimation._grid.cache_clear()
+            cold.append(_outputs(*call))
+    assert 0 < len(zooms) < len(calls)
     estimation._grid.cache_clear()
     assert [_outputs(*call) for call in calls] == cold
     info = estimation._grid.cache_info()
-    assert (info.hits, info.misses) == (1, 2)
+    assert (info.misses, info.hits) == (6, len(calls) - 6)
 
-    grid = estimation._grid(1024, "hann")
-    tables = (grid.taper, grid.starts, grid.shift, grid.roots)
-    for table in tables:
-        with pytest.raises(ValueError):
-            table[0] = 0
-    est = estimate_spectrum_fft(noisy, 7, window="hann")
-    for out in (est.eigenvalues, est.weights):
-        assert out.flags.writeable
-        assert not any(np.shares_memory(out, table) for table in tables)
+    for sig, n_peaks, window in calls:
+        est = estimate_spectrum_fft(sig, n_peaks, window=window)
+        grid = estimation._grid(len(sig.times), window)
+        (work,) = grid.spares
+        tables = (grid.taper, grid.starts, grid.shift, grid.roots)
+        for table in tables:
+            with pytest.raises(ValueError):
+                table[0] = 0
+        lent = (work.x, work.ring, work.zoom)
+        for out in (est.eigenvalues, est.weights):
+            assert out.flags.writeable
+            assert not any(np.shares_memory(out, a) for a in tables + lent)
+
+
+def test_failed_estimates_return_their_work_set(monkeypatch):
+    """A call that raises, before, inside or after the lent region, leaves the
+    one work set in its pool."""
+    sig = _noisy_tones(1024, 3)
+    silent = TimeSignal(sig.times, np.zeros(1024, complex))
+    estimation._grid.cache_clear()
+    want = _outputs(sig, 7, "rect")
+    grid = estimation._grid(1024, "rect")
+    (work,) = grid.spares
+
+    def failing(*args):
+        raise InputError("window filler failed")
+
+    for i in range(100):
+        with monkeypatch.context() as patch:
+            if i % 3 == 0:
+                patch.setattr(estimation, "_zoom_window", failing)
+                with pytest.raises(InputError, match="filler"):
+                    estimate_spectrum_fft(sig, 7)
+            elif i % 3 == 1:
+                with pytest.raises(FewerPeaksError):
+                    estimate_spectrum_fft(silent, 2)
+            else:
+                with pytest.raises(InputError):
+                    estimate_spectrum_fft(sig, 300)
+        assert grid.spares == [work]
+    assert _outputs(sig, 7, "rect") == want
+
+
+def test_threads_never_share_a_work_set():
+    """Four threads estimating different signals at one length, 200 calls
+    each with a short switch interval, get the sequential results; the pool
+    ends with at most one set per thread."""
+    signals = [_noisy_tones(1024, 40 + i) for i in range(4)]
+    want = [_outputs(sig, 7, "hann") for sig in signals]
+    got = [[] for _ in signals]
+
+    def run(i):
+        for _ in range(200):
+            got[i].append(_outputs(signals[i], 7, "hann"))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w] * 200 for w in want]
+    assert 1 <= len(estimation._grid(1024, "hann").spares) <= 4
+
+
+def test_warm_estimate_allocates_no_work_arrays():
+    """A warm estimate at m = 8192 with 7 peaks peaks below 424 KB of traced
+    allocation, half the 848 KB it took when every call built its block
+    buffer, ring and zoom tables afresh; the spectrum FFT's own output
+    (128 KB) and small index arrays remain."""
+    fmo = next(sig for name, sig, *_ in _parity_cases() if name == "fmo-0")
+    estimate_spectrum_fft(fmo, 7, window="hann")
+    tracemalloc.start()
+    try:
+        estimate_spectrum_fft(fmo, 7, window="hann")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 424 * 1024
 
 
 def test_silent_signal_finds_no_peaks():
