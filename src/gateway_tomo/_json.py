@@ -3,7 +3,7 @@
 ``_check_site`` takes positive int labels, ``site_labels`` sequences of them.
 ``scalar`` takes what numpy reads as a 0-d integer or float array (no bool,
 complex, text, bytes, None, list or int too large for numpy), finite unless
-its bounds say otherwise; ``numbers`` takes arrays of such elements.
+its bounds say otherwise; ``numbers`` takes finite arrays of such elements.
 ``strict_object`` and ``site_keyed`` take objects with just their schema's
 keys.  Bad input raises InputError naming the argument, or the document and
 its key.
@@ -93,7 +93,7 @@ def site_keyed(data: object, what: str) -> tuple[tuple[int, ...], list]:
 
 
 def numbers(value: object, what: str, ndim: int | None = None, dtype=float) -> np.ndarray:
-    """``value`` as a float (or ``complex``) array, optionally of ``ndim`` dimensions."""
+    """``value`` as a finite float (or ``complex``) array, of ``ndim`` dimensions if given."""
     kinds, refused = ("iufc", _NOT_COMPLEX) if dtype is complex else ("iuf", _NOT_REAL)
     try:  # an array of a number dtype needs no walk over its elements
         ok = isinstance(value, np.ndarray) and value.dtype.kind in kinds or not any(
@@ -103,4 +103,6 @@ def numbers(value: object, what: str, ndim: int | None = None, dtype=float) -> n
         arr = None
     if arr is None or ndim not in (None, arr.ndim):
         raise InputError(f"{what} must be {_FORMS[ndim]}")
+    if not np.isfinite(arr).all():
+        raise InputError(f"{what} must be finite")
     return arr

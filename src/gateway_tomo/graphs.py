@@ -382,7 +382,8 @@ class AccessPlan(_Tuples):
         open edge it walks and gives the next site a column; only a terminal
         may be reached again, where families merge.  A cycle site must have
         just its cycle edges open, a measured one must be an accessed leaf of
-        the cycle, an attachment must have a column.  No edge may stay open.
+        the cycle, an attachment must have a column.  No edge may stay open,
+        and every site must end with a column or be a measured cycle site.
         Only ``reconstruct`` runs it, once per (g, plan), as it compiles a schedule.
         """
         access = set(self.access_set)
@@ -431,9 +432,12 @@ class AccessPlan(_Tuples):
                     raise InputError(f"cycle attachment {n} has no column yet")
             for n in cyc:
                 open_[n].clear()
+            columns |= measured
         for n, ns in open_.items():
             if ns:
                 raise InputError(f"plan leaves edge {edge_key(n, min(ns))} unresolved")
+            if n not in columns:
+                raise InputError(f"plan gives site {n} no column")
 
 
 def _spine_path(g: NetworkGraph, jstar: int, parent: int) -> list[int]:
@@ -466,15 +470,19 @@ def compute_access_plan(
 ) -> AccessPlan:
     """Choose accessed sites and a reconstruction order for ``g``.
 
-    The standard rule accesses every leaf (trees) plus every degree-2 cycle
-    site (unicyclic); a pure path needs only its reference end and a pure
-    cycle needs every site.  The aggressive variant applies to trees only
-    and drops one leaf by consuming branching-site equations along a single
-    descending spine.  Every segment follows the single open edge of its
-    head, closing each edge it crosses, until it reaches a stop site or a
-    dead end.  A branching site that may fire heads a derived segment once
-    exactly one of its edges is still open.  The plan is valid by
-    construction; ``reconstruct`` validates it once per (g, plan).
+    One rule serves paths, trees and unicyclic graphs.  The probes are the
+    leaves and the degree-2 cycle sites.  The reference is a probe: by default
+    the smallest leaf, or the smallest cycle site when there is no leaf; any
+    other site raises InputError naming the probes.  Every probe is accessed
+    except those the reference walk reaches, which is the far end of a pure
+    path and nothing else.  The aggressive variant, refused on a cycle,
+    drops one more leaf of a tree by consuming branching-site equations
+    along a single descending spine.  Every segment follows the single open
+    edge of its head, closing each edge it crosses, until it reaches a stop
+    site or a dead end.  A branching site that may fire heads a derived
+    segment once exactly one of its edges is still open; families meet at
+    the cycle, or in a tree where the reference path ends.  The plan is
+    valid by construction; ``reconstruct`` validates it once per (g, plan).
 
     A network is planned once: the first plan for each (``reference``,
     ``aggressive``) pair, with ``reference`` None or an int and ``aggressive``
@@ -501,27 +509,11 @@ def compute_access_plan(
     cycle = set(topo.cycle or ())
     leaves = [n for n in g.nodes if len(adj[n]) == 1]
     hubs = {n for n in g.nodes if len(adj[n]) >= 3}
-
-    if topo.kind is TopologyKind.PATH:
-        if reference is not None and reference not in leaves:
-            raise InputError(
-                f"reference {reference} must be an end site of the path"
-            )
-        ref = reference if reference is not None else min(leaves)
-        access = {ref}
-    elif topo.kind is TopologyKind.TREE:
-        if reference is not None and reference not in leaves:
-            raise InputError(f"reference {reference} must be a leaf site")
-        ref = reference if reference is not None else min(leaves)
-        access = set(leaves)
-    else:
-        access = set(leaves) | (cycle - hubs)
-        default = min(leaves) if leaves else min(cycle)
-        ref = reference if reference is not None else default
-        if ref not in access:
-            raise InputError(
-                f"reference {ref} must be an accessed site (one of {sorted(access)})"
-            )
+    probes = set(leaves) | (cycle - hubs)
+    ref = reference if reference is not None else min(leaves or cycle)
+    if ref not in probes:
+        raise InputError(f"reference {ref} must be a leaf or a degree-2 cycle site "
+                         f"(one of {sorted(probes)})")
 
     open_ = {n: set(ns) for n, ns in adj.items()}
 
@@ -533,16 +525,11 @@ def compute_access_plan(
             seg.append(nxt)
         return seg
 
-    path = [ref] if ref in cycle else walk(ref, cycle | hubs)
-
-    spine: list[int] = []
-    if aggressive and topo.kind is TopologyKind.TREE:
-        spine = _spine_path(g, path[-1], path[-2])
-        access.discard(spine[-1])
-
-    anchors = set(path) | cycle | set(spine)
-    stops = anchors | hubs
-    fires = hubs - (cycle if topo.kind is TopologyKind.UNICYCLIC else anchors)
+    stops = hubs | cycle
+    path = [ref] if ref in cycle else walk(ref, stops)
+    spine = _spine_path(g, path[-1], path[-2]) if aggressive else []
+    access = probes.difference(path[1:], spine[-1:])
+    fires = hubs - set(spine) - (cycle or {path[-1]})
     schedule: list[BranchPeel] = []
     heads = [n for n in leaves if n in access and n != ref]
     measured = True

@@ -53,8 +53,6 @@ class Provenance:
             scalar(self.seed, "seed {!r}", self.seed, integer=True, low=0)
         if self.times is not None:
             times = numbers(self.times, 'provenance "times"', 1)
-            if not np.isfinite(times).all():
-                raise InputError('provenance "times" must be finite')
             object.__setattr__(self, "times", tuple(times.tolist()))
 
     @property
@@ -104,15 +102,15 @@ class SpectralMeasurement:
         mods = numbers(self.moduli, "moduli")
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "moduli", mods)
-        if not (np.isfinite(vals).all() and (np.diff(vals) > 0).all()):
-            raise InputError("eigenvalues must be finite and strictly increasing")
+        if not (np.diff(vals) > 0).all():
+            raise InputError("eigenvalues must be strictly increasing")
         if mods.shape != (len(self.nodes), len(vals)):
             raise InputError(
                 f"moduli shape {mods.shape} does not match "
                 f"{len(self.nodes)} sites x {len(vals)} eigenvalues"
             )
-        if not np.isfinite(mods).all() or (mods < 0).any():
-            raise InputError("moduli must be finite and nonnegative")
+        if (mods < 0).any():
+            raise InputError("moduli must be nonnegative")
         if len(set(self.nodes)) != len(self.nodes):
             raise InputError("measured sites must be distinct")
         slack = self.provenance.norm_slack
@@ -202,8 +200,8 @@ class DecayModel:
 
     def __post_init__(self) -> None:
         rates = numbers(self.rates, "decay rates", 1)
-        if not (np.isfinite(rates) & (rates >= 0)).all():
-            raise InputError("decay rates must be finite and nonnegative")
+        if (rates < 0).any():
+            raise InputError("decay rates must be nonnegative")
         object.__setattr__(self, "rates", tuple(rates.tolist()))
 
 
@@ -230,15 +228,13 @@ class DecaySeries:
         object.__setattr__(self, "amplitudes", amps)
         if times.ndim != 1 or len(times) < 2:
             raise InputError("a decay series needs at least two sample times")
-        if np.any(np.diff(times) <= 0) or times[0] < 0 or not np.isfinite(times).all():
+        if np.any(np.diff(times) <= 0) or times[0] < 0:
             raise InputError("sample times must be nonnegative and increasing")
         if amps.shape != (len(self.nodes), len(times), len(vals)):
             raise InputError(
                 f"amplitude block shape {amps.shape} does not match "
                 "(sites, times, eigenvalues)"
             )
-        if not (np.isfinite(amps).all() and np.isfinite(vals).all()):
-            raise InputError("eigenvalues and amplitudes must be finite")
 
 
 def decay_series_to_json(series: DecaySeries) -> dict:
@@ -320,8 +316,6 @@ class TimeSignal:
         object.__setattr__(self, "values", values)
         if times.ndim != 1 or values.shape != times.shape:
             raise InputError("times and values must be flat lists of equal length")
-        if not np.all(np.isfinite(times)) or not np.all(np.isfinite(values)):
-            raise InputError("times and values must be finite")
         steps = np.diff(times)
         dt = float(steps[0]) if steps.size else 0.0
         if steps.size and (dt <= 0 or np.any(np.abs(steps - dt) > 1e-9 * dt)):

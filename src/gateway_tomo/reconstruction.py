@@ -300,8 +300,9 @@ class _Schedule:
             self.place = (k + at) * (k + 1) + np.array([self.around[0], at, [k] * k])
             sites.closed.update(e for e, _ in self.cycle_edges)
         self.access, self.checks = frozenset(plan.access_set), plan.check_sites(g)
+        self.check_rows = [sites.row[n] for n in self.checks]
         self.known = [sites.known(n) for n in self.checks]
-        self.keys, self.row = [f"site_{n}" for n in self.checks], sites.row
+        self.keys = [f"site_{n}" for n in self.checks]
 
 
 # by value: equal graphs and plans share a schedule; a failed validation raises again
@@ -458,14 +459,10 @@ def reconstruct(
     # leftover equations become consistency checks
     residuals: dict[str, float] = {}
     if schedule.checks:
-        run.row = schedule.row  # every row the schedule laid out
-        own = np.array([run.vector(n) for n in schedule.checks])
-        b, r = run.sum_rule(own, schedule.known)
+        b, r = run.sum_rule(run.cols[schedule.check_rows], schedule.known)
         fields.update(zip(schedule.checks, b.tolist()))
         residuals.update(zip(schedule.keys, np.add.reduce(r * r, 1).tolist()))
-
-    for key, value in run.mismatch_log.items():
-        residuals[key] = max(residuals.get(key, 0.0), value)
+    residuals.update(run.mismatch_log)  # merge_<n> keys, never a site_<n> key
     for n, b in supplied.items():
         residuals[f"field_supplied_{n}"] = abs(fields[n] - float(b))
     params = HamiltonianParams(fields, couplings)

@@ -399,6 +399,49 @@ def test_every_numeric_argument_refuses_non_numbers(argument, bad, dimer):
         call(NON_NUMBERS[bad](good))
 
 
+def _record_arrays(dimer):
+    """Per array a record takes: the name its error gives, a good value, and a
+    call taking one value in its place."""
+    arrays = {name: row for name, row in _number_arguments(dimer).items()
+              if name.split(".")[0] in ("SpectralMeasurement", "DecaySeries", "TimeSignal")}
+    doc = {"times": [0.0, 0.5], "real": [1.0, 0.0], "imag": [0.0, 1.0]}
+    return {
+        **arrays,
+        "Provenance.times": ('provenance "times"', 0.0, lambda v:
+            Provenance("extrapolated", times=(v, 1.0))),
+        "DecayModel.rates": ("decay rates", 0.1, lambda v: DecayModel((v, 0.1))),
+        "signal_from_json.real": ('signal "real"', 1.0, lambda v:
+            signal_from_json({**doc, "real": [v, 0.0]})),
+        "signal_from_json.imag": ('signal "imag"', 0.0, lambda v:
+            signal_from_json({**doc, "imag": [v, 1.0]})),
+    }
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("argument", [
+    "Provenance.times", "DecayModel.rates",
+    "SpectralMeasurement.eigenvalues", "SpectralMeasurement.moduli",
+    "DecaySeries.eigenvalues", "DecaySeries.times", "DecaySeries.amplitudes",
+    "TimeSignal.times", "TimeSignal.values",
+    "signal_from_json.real", "signal_from_json.imag",
+])
+def test_every_record_array_refuses_non_finite_numbers(argument, bad, dimer):
+    """``numbers`` holds the one finiteness rule; its error names the array."""
+    name, good, call = _record_arrays(dimer)[argument]
+    call(good)
+    with pytest.raises(InputError, match=f"{name} must be finite"):
+        call(bad)
+
+
+def test_non_finite_times_are_refused_before_any_arithmetic(dimer):
+    """An infinite time once reached np.exp and raised numpy's RuntimeWarning,
+    an error under this suite's warning filter, not InputError."""
+    with pytest.raises(InputError, match="times must be finite"):
+        return_amplitude(dimer, 1, [0.0, math.inf])
+    with pytest.raises(InputError, match="times must be finite"):
+        measure_decaying(dimer, [1, 2], [0.0, math.inf], DecayModel((0.0, 0.0)))
+
+
 def test_decay_series_json_roundtrip(dimer):
     series = measure_decaying(
         dimer, [1, 2], [0.0, 5.0, 10.0], DecayModel((0.01, 0.02))
@@ -423,8 +466,10 @@ def test_decay_series_json_roundtrip(dimer):
 
 def test_decay_series_needs_increasing_times(dimer):
     series = measure_decaying(dimer, [1], [0.0, 1.0], DecayModel((0.0, 0.0)))
-    for times in ([1.0, 0.5], [0.0, np.nan], [0.0, np.inf]):
-        with pytest.raises(InputError, match="nonnegative and increasing"):
+    for times, message in (([1.0, 0.5], "nonnegative and increasing"),
+                           ([0.0, np.nan], "times must be finite"),
+                           ([0.0, np.inf], "times must be finite")):
+        with pytest.raises(InputError, match=message):
             DecaySeries(series.nodes, series.eigenvalues, times, series.amplitudes)
 
 

@@ -365,6 +365,69 @@ def test_error_names_the_earliest_failing_segment(leg5, expected):
     assert getattr(info.value, "indices", None) == indices
 
 
+def two_lane_block_case(leg5, leg7):
+    """A hand plan whose lockstep block is its third: a measured head without
+    steps (8) splits the blocks, so legs 5-4 and 7-6 run together into hub 9.
+
+    The eigenvalues are -4..4; ``leg5`` and ``leg7`` weigh the modulus squares
+    at sites 5 and 7, and the reference 1 and site 8 see every state.
+    """
+    edges = [(1, 2), (2, 3), (3, 8), (3, 9), (9, 4), (4, 5), (9, 6), (6, 7)]
+    g = NetworkGraph.from_edges(edges)
+    plan = AccessPlan(1, (1, 5, 7, 8), (1, 2, 3), (
+        BranchPeel(8, (), 8, True),
+        BranchPeel(5, (5, 4), 9, True),
+        BranchPeel(7, (7, 6), 9, True),
+        BranchPeel(9, (9,), 3, False),
+        BranchPeel(8, (8,), 3, False),
+    ))
+    weights = np.array([[1, 2, 3, 4, 5, 4, 3, 2, 1], leg5, leg7,
+                        [2, 1, 3, 1, 2, 1, 3, 1, 2]], dtype=float)
+    meas = SpectralMeasurement(
+        plan.access_set,
+        np.arange(-4.0, 5.0),
+        np.sqrt(weights / weights.sum(axis=1, keepdims=True)),
+        Provenance("exact"),
+    )
+    return g, plan, meas
+
+
+ONE_STATE, TWO_STATES = [1] + [0] * 8, [1, 1] + [0] * 7
+EVERY_STATE = [3, 1, 4, 1, 5, 9, 2, 6, 5]
+
+
+@pytest.mark.parametrize(
+    "leg5, leg7, expected",
+    [
+        # one eigenstate: the lane's first step divides by zero at its head
+        (ONE_STATE, EVERY_STATE, (5, (4, 5))),
+        (EVERY_STATE, ONE_STATE, (7, (6, 7))),
+        # two eigenstates: the lane's second step divides by zero
+        (TWO_STATES, EVERY_STATE, (4, (4, 9))),
+        # both fail; run together, leg 7's first step would fail before leg
+        # 5's second, but one segment at a time leg 5 fails first
+        (TWO_STATES, ONE_STATE, (4, (4, 9))),
+        (ONE_STATE, ONE_STATE, (5, (4, 5))),
+    ],
+)
+def test_failing_block_after_the_first_raises_as_one_segment_at_a_time(leg5, leg7,
+                                                                       expected):
+    g, plan, meas = two_lane_block_case(leg5, leg7)
+    blocks = _schedule(g, plan).blocks
+    assert [len(block.batch) for block in blocks] == [1, 1, 2, 1, 1]
+    slow = _Recursion(g, meas, DEFAULT_TOLERANCES)
+    with pytest.raises(NearZeroDivisionError) as one_at_a_time:
+        for block in blocks:
+            for segment in block.batch:
+                slow.advance(_Block(slow, [segment]))
+    with pytest.raises(GatewayTomoError) as info:
+        reconstruct(g, plan, meas)
+    got, want = info.value, one_at_a_time.value
+    assert type(got) is type(want) and got.flag == want.flag
+    assert (got.node, got.edge) == (want.node, want.edge) == expected
+    assert getattr(got, "indices", None) == getattr(want, "indices", None)
+
+
 def test_derived_segment_failing_at_its_head_names_head_and_edge():
     # the reference path stops at 2 and a derived segment continues from it;
     # site 2's column, less its known neighbor 1, vanishes in every state

@@ -71,6 +71,21 @@ def test_private_names_are_imported_only_from_json():
     assert found == []
 
 
+def test_finiteness_is_checked_in_one_place():
+    """``_json.numbers`` refuses NaN and infinity in every array from outside;
+    only the bulk path of ``HamiltonianParams`` tests finiteness besides."""
+    found = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if getattr(node, "attr", getattr(node, "id", None)) == "isfinite":
+                inside = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                owner = max(inside, key=lambda f: f.lineno).name if inside else ""
+                found.add("_json.py" if path.name == "_json.py" else f"{path.name}:{owner}")
+    assert found == {"_json.py", "spectral.py:_kept_as_given"}
+
+
 def test_replay_and_cycle_solve_read_no_graph_fact():
     """Edges, signs and known neighbors come from the schedule, compiled once
     per (graph, plan); what runs per record reads none of them itself."""
