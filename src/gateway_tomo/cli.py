@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._json import numbers, site_keyed
+from ._json import numbers, scalar, site_keyed
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import GatewayTomoError, InputError
 from .estimation import estimate_spectrum_fft, extrapolate_t0
@@ -110,6 +110,8 @@ def _parse_times(text: str) -> np.ndarray:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise InputError(f"times must be START:STOP:COUNT, got {text!r}") from None
+    for value, name in ((start, "START"), (stop, "STOP")):
+        scalar(value, "times {} in {!r}", name, text)
     if count < 2 or stop <= start:
         raise InputError("need an increasing time range with at least two samples")
     return np.linspace(start, stop, count)

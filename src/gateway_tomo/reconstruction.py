@@ -31,7 +31,7 @@ import numpy as np
 
 from ._json import _check_site, scalar
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import GatewayTomoError, IllConditionedError, InconsistentDataError
+from .errors import IllConditionedError, InconsistentDataError
 from .errors import InputError, NearZeroDivisionError, RankDeficientError
 from .errors import SignAmbiguityError
 from .graphs import AccessPlan, BranchPeel, NetworkGraph, edge_key
@@ -47,7 +47,8 @@ class _Recursion:
     Columns are rows of ``cols`` in claim order and ``peak`` holds each
     family's per-state maximum modulus.  `take` records what the plan fixes:
     the rows, edges and families a block claims.  `_Schedule` takes every
-    block without a measurement; `replay` runs one without taking it.
+    block without a measurement; `replay` runs one without taking it and
+    raises its earliest failing segment's error itself.
     """
 
     def __init__(self, g: NetworkGraph, meas=None, tol=DEFAULT_TOLERANCES):
@@ -100,18 +101,16 @@ class _Recursion:
                 np.subtract.reduce(terms, 0, out=r[i])
         return b, r
 
-    def advance(self, block: _Block) -> None:
-        self.replay(block, peaks=True)
-        self.take(block)
-
     def replay(self, block: _Block, peaks: bool) -> None:
         """Run a block, one array operation per recursion step, and settle it.
 
         Step 0 subtracts every known neighbor of each head, a later step only the
         site before.  An arrival joining a holder aligns the states that it and the
-        holder, as grown by the arrivals before it, both carry.  Numeric errors alone
-        are raised, in the order that running the segments one at a time meets them,
-        and before anything is written.  Family peaks are kept only if ``peaks``.
+        holder, as grown by the arrivals before it, both carry.  A failing lane
+        records its first error and runs on as zeros; no lane reads a later-ranked
+        one, so the error of the earliest-ranked failing lane is the one that running
+        the segments one at a time raises, and it is raised before anything is
+        written.  Family peaks are kept only if ``peaks``.
         """
         overlap, floor = self.tolerances.overlap_tol, self.tolerances.coupling_tol**2
         nodes, edges, sign = block.nodes, block.edges, block.sign
@@ -124,7 +123,7 @@ class _Recursion:
         cols[: block.lead], peak = arrivals[: block.lead], peaks and np.abs(arrivals)
         for j, family, _ in block.tops if peaks else ():
             np.maximum(self.peak[family], peak[j], out=peak[j])
-        b_all, c_all = np.empty(len(nodes)), np.empty((len(nodes), 1))
+        b_all, c_all, fail = np.empty(len(nodes)), np.empty((len(nodes), 1)), {}
         for lo, hi, a, back, going in block.steps:
             _, r = self.sum_rule(cols[lo:hi], () if lo else block.known, b_all[lo:hi])
             if lo:  # step 0 runs the heads, which the peaks hold already
@@ -132,9 +131,12 @@ class _Recursion:
                 if peaks:
                     np.maximum(peak[:a], np.abs(cols[lo:hi]), out=peak[:a])
             c_sq = np.add.reduce(r * r, 1, keepdims=True)
-            for j, (x,) in enumerate(c_sq.tolist(), lo):
-                if x <= floor:
-                    raise NearZeroDivisionError(nodes[j], edges[j], math.sqrt(x))
+            if not min(c_sq.ravel().tolist()) > floor:  # cheapest test for few lanes
+                low = c_sq <= floor
+                for j in np.flatnonzero(low).tolist():  # lane j, row lo + j
+                    n, e, x = nodes[lo + j], edges[lo + j], math.sqrt(c_sq[j, 0])
+                    fail.setdefault(j, NearZeroDivisionError(n, e, x))
+                c_sq[low], r[low[:, 0]] = 1.0, 0.0  # the failed lane runs on as zeros
             c = np.multiply(sign[lo:hi], np.sqrt(c_sq), out=c_all[lo:hi])
             if going:
                 np.divide(r[:going], c[:going], out=cols[hi : hi + going])
@@ -157,9 +159,10 @@ class _Recursion:
                 grown = np.maximum.accumulate(np.vstack([base, inc[:-1]]), axis=0)
                 relevant &= grown > overlap
             weak = relevant & ((mag <= overlap) | (np.abs(ex) <= overlap))
-            if weak.any():
+            if weak.any():  # a step failure of the same lane comes first
                 i = int(weak.any(axis=1).argmax())
-                raise SignAmbiguityError(t, np.flatnonzero(weak[i]).tolist())
+                states = np.flatnonzero(weak[i]).tolist()
+                fail.setdefault(int(js[i]), SignAmbiguityError(t, states))
             e = eps[js] = np.where(relevant, np.sign(arriving) * np.sign(ex), 1.0)
             logs[t] = float(np.abs(e * arriving - ex).max())
             hold[dst] = np.maximum(base, inc.max(axis=0))
@@ -169,6 +172,8 @@ class _Recursion:
                     hold[into], eps[j] = x, 1.0
                 if moves:
                     flips.append(e[i])
+        if fail:
+            raise fail[min(fail, key=block.rank.__getitem__)]
         if eps is not None:
             cols[: len(nodes)] *= eps[block.lanes]
         self.cols[block.row0 : block.row0 + len(block.keep)] = cols[block.keep]
@@ -183,7 +188,7 @@ class _Recursion:
 
 
 class _Block:
-    """One block of (family, segment) pairs, laid out for `_Recursion.advance`.
+    """One block of (family, segment) pairs, laid out for `_Recursion.replay`.
 
     Lanes are the segments, longest first; a measured one seeds its family
     from its head's moduli, a derived one continues the family holding its
@@ -203,7 +208,7 @@ class _Block:
             seq = (*peel.nodes, peel.terminal) if peel.nodes else (peel.head,)
             segs.append((seq, top or family, seed, top, i))
         segs.sort(key=lambda s: -len(s[0]))
-        seqs, fams, seeds, tops, rank = zip(*segs)
+        seqs, fams, seeds, tops, self.rank = zip(*segs)  # rank: lane's place in batch
         self.batch, self.row0 = tuple(batch), len(sites.row)
         # a derived lane continues its family from a row, a measured one reads its head
         self.tops = [(j, f, seeds[j]) for j, f in enumerate(tops) if f]
@@ -222,7 +227,7 @@ class _Block:
         self.known = [sites.known(n) for n in nodes[:lead]]  # step 0 subtracts these
         at_terminal, self.terminals, self.moves = {}, [], []
         claimed, owner = [False] * len(seqs), list(fams)
-        for j in sorted(range(len(seqs)), key=rank.__getitem__):
+        for j in sorted(range(len(seqs)), key=self.rank.__getitem__):
             at_terminal.setdefault(seqs[j][-1], []).append(j)
         for t, js in at_terminal.items():
             held, first, dst = sites.row.get(t), None, sites.node_family.get(t)
@@ -440,17 +445,8 @@ def reconstruct(
 
     run = _Recursion(g, meas, tolerances)
     fields, couplings = run.fields, run.couplings
-    for k, block in enumerate(schedule.blocks):
-        try:
-            run.replay(block, schedule.peaks[k])
-        except GatewayTomoError:
-            # nothing was written: one at a time, the earliest failing segment raises
-            if len(block.batch) > 1:
-                for done in schedule.blocks[:k]:  # the rows and families it builds on
-                    run.take(done)
-                for segment in block.batch:
-                    run.advance(_Block(run, [segment]))
-            raise
+    for block, peaks in zip(schedule.blocks, schedule.peaks):
+        run.replay(block, peaks)
 
     diagnostics, flags = None, ()
     if schedule.cycle is not None:

@@ -41,10 +41,12 @@ from gateway_tomo import (
     result_to_json,
 )
 from gateway_tomo.graphs import CyclePlan
-from gateway_tomo.reconstruction import _Block, _Recursion, _schedule
+from gateway_tomo.reconstruction import _Recursion, _schedule
 from util import (
+    advance,
     generic_system,
     max_param_error,
+    one_segment_at_a_time,
     random_open_walk_plan,
     random_params,
     random_tree_edges,
@@ -193,7 +195,7 @@ def run_blocks(g, plan, meas):
     """The recursion of ``reconstruct`` up to the cycle solve, for inspection."""
     run = _Recursion(g, meas, DEFAULT_TOLERANCES)
     for block in _schedule(g, plan).blocks:
-        run.advance(block)
+        advance(run, block)
     return run
 
 
@@ -255,7 +257,7 @@ def test_merge_refuses_weak_shared_overlap():
     (block,) = _schedule(g, plan).blocks
     assert len(block.batch) == 3
     with pytest.raises(SignAmbiguityError) as info:
-        run.advance(block)
+        advance(run, block)
     assert info.value.node == 1
     assert info.value.indices == [2]
     assert info.value.flag == "SignAmbiguity"
@@ -322,6 +324,15 @@ def test_batches_keep_a_segment_ending_where_an_earlier_block_reached_alone():
     assert blocks == [[ref], [derived], [leg], [late], legs]
 
 
+def hand_record(plan, eigenvalues, weights):
+    """Exact moduli sqrt(w / sum w) at ``plan``'s access sites, one row of
+    ``weights`` per site."""
+    w = np.array(weights, dtype=float)
+    moduli = np.sqrt(w / w.sum(axis=1, keepdims=True))
+    return SpectralMeasurement(plan.access_set, np.array(eigenvalues, dtype=float), moduli,
+                               Provenance("exact"))
+
+
 def two_leg_spider_measurement(leaf_moduli):
     """Hub 1 with the reference leaf 2 and legs 1-4-5, 1-6-7, from hand moduli.
 
@@ -332,14 +343,8 @@ def two_leg_spider_measurement(leaf_moduli):
     plan = compute_access_plan(g)
     assert plan.reference_path == (2, 1)
     assert [p.head for p in plan.peel_schedule] == [5, 7]
-    weights = np.array([leaf_moduli[n] for n in plan.access_set], dtype=float)
-    meas = SpectralMeasurement(
-        plan.access_set,
-        np.arange(-2.0, 4.0),
-        np.sqrt(weights / weights.sum(axis=1, keepdims=True)),
-        Provenance("exact"),
-    )
-    return g, plan, meas
+    weights = [leaf_moduli[n] for n in plan.access_set]
+    return g, plan, hand_record(plan, range(-2, 4), weights)
 
 
 @pytest.mark.parametrize(
@@ -365,6 +370,51 @@ def test_error_names_the_earliest_failing_segment(leg5, expected):
     assert getattr(info.value, "indices", None) == indices
 
 
+def test_error_names_the_earliest_failing_segment_across_terminals():
+    # the double star 1-{2,3,4}, 4-{5,6}: the block settles hub 1 before hub 4,
+    # but leg 6's ambiguous merge at hub 4 (state 2) comes before leg 3's at 1
+    plan = AccessPlan(2, (2, 3, 5, 6), (2, 1), (
+        BranchPeel(5, (5,), 4, True), BranchPeel(6, (6,), 4, True),
+        BranchPeel(3, (3,), 1, True), BranchPeel(4, (4,), 1, False),
+    ))
+    g = NetworkGraph.from_edges([(1, 2), (1, 3), (1, 4), (4, 5), (4, 6)])
+    meas = hand_record(plan, range(-2, 4), [
+        [3, 2, 2, 1, 1, 0], [0, 0, 0, 3, 2, 3], [2, 2, 3, 2, 2, 2], [2, 3, 1, 3, 2, 0],
+    ])
+    with pytest.raises(SignAmbiguityError) as info:
+        reconstruct(g, plan, meas)
+    assert (info.value.node, info.value.indices) == (4, [2])
+
+
+def test_lockstep_block_reads_the_layout_its_schedule_took():
+    # the measured head 8 has no steps but names terminal 3, so site 8 arrives
+    # at its head; legs 5-4 and 7-6 then end at 8, which that block claimed
+    plan = AccessPlan(1, (1, 5, 7, 8), (1, 2, 3), (
+        BranchPeel(8, (), 3, True), BranchPeel(5, (5, 4), 8, True),
+        BranchPeel(7, (7, 6), 8, True), BranchPeel(8, (8,), 3, False),
+    ))
+    g = NetworkGraph.from_edges([(1, 2), (2, 3), (3, 8), (8, 4), (4, 5), (8, 6), (6, 7)])
+    meas = hand_record(plan, range(-3, 5), [
+        [2, 0, 2, 2, 0, 2, 2, 0], [0, 1, 0, 1, 1, 1, 1, 1], [0, 1, 1, 2, 2, 2, 1, 1],
+        [0, 1, 1, 1, 0, 0, 0, 0],
+    ])
+    with pytest.raises(SignAmbiguityError) as info:
+        reconstruct(g, plan, meas)
+    assert (info.value.node, info.value.indices) == (8, [4, 5, 6, 7])
+
+
+def test_failed_lanes_run_on_without_overflow():
+    # an infinite coupling floor fails every step of every lane; the failed
+    # lanes must stay finite (no RuntimeWarning) on the way to the first error
+    chain = [(n, n + 1) for n in range(1, 24)] + [(12, 40), (40, 41), (41, 42)]
+    g, params, plan, eig, meas = generic_system(
+        np.random.default_rng(0), NetworkGraph.from_edges(chain), min_component=1e-6)
+    assert len(_schedule(g, plan).blocks[0].batch) == 3
+    with pytest.raises(NearZeroDivisionError) as info:
+        reconstruct(g, plan, meas, tolerances=Tolerances(coupling_tol=math.inf))
+    assert (info.value.node, info.value.edge) == (1, (1, 2))
+
+
 def two_lane_block_case(leg5, leg7):
     """A hand plan whose lockstep block is its third: a measured head without
     steps (8) splits the blocks, so legs 5-4 and 7-6 run together into hub 9.
@@ -381,15 +431,8 @@ def two_lane_block_case(leg5, leg7):
         BranchPeel(9, (9,), 3, False),
         BranchPeel(8, (8,), 3, False),
     ))
-    weights = np.array([[1, 2, 3, 4, 5, 4, 3, 2, 1], leg5, leg7,
-                        [2, 1, 3, 1, 2, 1, 3, 1, 2]], dtype=float)
-    meas = SpectralMeasurement(
-        plan.access_set,
-        np.arange(-4.0, 5.0),
-        np.sqrt(weights / weights.sum(axis=1, keepdims=True)),
-        Provenance("exact"),
-    )
-    return g, plan, meas
+    weights = [[1, 2, 3, 4, 5, 4, 3, 2, 1], leg5, leg7, [2, 1, 3, 1, 2, 1, 3, 1, 2]]
+    return g, plan, hand_record(plan, range(-4, 5), weights)
 
 
 ONE_STATE, TWO_STATES = [1] + [0] * 8, [1, 1] + [0] * 7
@@ -418,8 +461,7 @@ def test_failing_block_after_the_first_raises_as_one_segment_at_a_time(leg5, leg
     slow = _Recursion(g, meas, DEFAULT_TOLERANCES)
     with pytest.raises(NearZeroDivisionError) as one_at_a_time:
         for block in blocks:
-            for segment in block.batch:
-                slow.advance(_Block(slow, [segment]))
+            one_segment_at_a_time(slow, block)
     with pytest.raises(GatewayTomoError) as info:
         reconstruct(g, plan, meas)
     got, want = info.value, one_at_a_time.value
@@ -455,9 +497,8 @@ def test_block_aligns_states_only_the_arriving_column_carries():
     )
     (block,) = _schedule(g, plan).blocks
     fast, slow = (_Recursion(g, meas, DEFAULT_TOLERANCES) for _ in range(2))
-    fast.advance(block)
-    for segment in block.batch:
-        slow.advance(_Block(slow, [segment]))
+    advance(fast, block)
+    one_segment_at_a_time(slow, block)
     assert 0 < abs(slow.vector(5)[0]) < DEFAULT_TOLERANCES.overlap_tol
     assert slow.vector(5)[0] < 0 < meas.moduli_of(5)[0]
     for n in slow.row:
@@ -560,16 +601,19 @@ def test_block_matches_running_one_segment_at_a_time():
         for block in _schedule(g, plan).blocks:
             before = snapshot(fast)
             try:
-                for segment in block.batch:
-                    slow.advance(_Block(slow, [segment]))
-            except GatewayTomoError:
-                # the block raises too and leaves everything untouched
-                with pytest.raises(GatewayTomoError):
-                    fast.advance(block)
+                one_segment_at_a_time(slow, block)
+            except GatewayTomoError as exc:
+                # the block raises the same error and leaves everything untouched
+                with pytest.raises(GatewayTomoError) as info:
+                    advance(fast, block)
                 assert snapshot(fast) == before
+                got = info.value
+                assert type(got) is type(exc) and str(got) == str(exc)
+                for field in ("flag", "node", "edge", "indices"):
+                    assert getattr(got, field, None) == getattr(exc, field, None)
                 raised += 1
                 break
-            fast.advance(block)
+            advance(fast, block)
             compared += 1
             several += len(block.batch) > 1
             assert fast.fields == slow.fields and fast.couplings == slow.couplings

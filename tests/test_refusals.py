@@ -88,6 +88,10 @@ REFUSALS = {
         s.params.local_fields, {(1, 2): 0.8})), r"couplings do not match edges \(missing"),
     "cli-times": ((*DECAYING, "--gamma", "0.1", "--times", "1:2"),
                   "times must be START:STOP:COUNT, got '1:2'"),
+    "cli-times-infinite": ((*DECAYING, "--gamma", "0.1", "--times", "0:inf:5"),
+                           "times STOP in '0:inf:5' is not a number"),
+    "cli-times-nan": ((*DECAYING, "--gamma", "0.1", "--times", "nan:1:5"),
+                      "times START in 'nan:1:5' is not a number"),
     "cli-gamma": ((*DECAYING, "--gamma", "0.1,x", "--times", "0:1:5"),
                   "expected comma-separated numbers, got '0.1,x'"),
     "cli-tol-value": (("roundtrip", "--tol", "coupling_tol=abc"),

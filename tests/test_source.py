@@ -106,6 +106,23 @@ def test_replay_and_cycle_solve_read_no_graph_fact():
     assert found == []
 
 
+def test_reconstruct_has_one_engine_path():
+    """Blocks are laid out only by the schedule, and `reconstruct` catches
+    nothing: `replay` itself raises the earliest failing segment's error, so no
+    second path reruns a failing block one segment at a time."""
+    tree = ast.parse((SOURCES[0].parent / "reconstruction.py").read_text())
+
+    def block_calls(node):
+        return [n.lineno for n in ast.walk(node) if isinstance(n, ast.Call)
+                and getattr(n.func, "id", None) == "_Block"]
+
+    (schedule,) = [c for c in tree.body if getattr(c, "name", None) == "_Schedule"]
+    (init,) = [f for f in schedule.body if getattr(f, "name", None) == "__init__"]
+    (body,) = [f for f in tree.body if getattr(f, "name", None) == "reconstruct"]
+    assert block_calls(tree) == block_calls(init) != []
+    assert not any(isinstance(node, ast.Try) for node in ast.walk(body))
+
+
 def _definitions(tree: ast.Module):
     """Top-level functions, classes and constants, and methods; no dunder names."""
     found = []

@@ -4,8 +4,9 @@ Random instance generators (trees via Prufer sequences, unicyclic graphs,
 generic parameter draws with rejection against spectral pathologies, plans
 built by random open-edge walks) plus
 deliberately independent oracles used to cross-check the package
-implementation: an infection simulator, an aggressive-spine walker, and the
-direct-sum return signal and unpruned Fourier estimator.
+implementation: an infection simulator, an aggressive-spine walker, the
+reconstruction run one segment at a time, and the direct-sum return signal
+and unpruned Fourier estimator.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from gateway_tomo import (
     measure_exact,
 )
 from gateway_tomo.graphs import CyclePlan
+from gateway_tomo.reconstruction import _Block
 
 
 def random_tree_edges(rng: np.random.Generator, n: int) -> list[tuple[int, int]]:
@@ -357,6 +359,22 @@ def random_open_walk_plan(rng: np.random.Generator, g: NetworkGraph) -> AccessPl
         access.update(measured)
         cycle_plan = CyclePlan(cycle, measured, tuple(set(cycle) - set(measured)))
     return AccessPlan(ref, tuple(sorted(access)), path, tuple(schedule), cycle_plan)
+
+
+# --- the recursion one block, or one segment, at a time ---------------------
+
+
+def advance(run, block) -> None:
+    """Replay ``block`` on the recursion ``run`` and take what it claims."""
+    run.replay(block, peaks=True)
+    run.take(block)
+
+
+def one_segment_at_a_time(run, block) -> None:
+    """Advance ``run`` through each segment of ``block`` as a block of its own:
+    the order a lockstep block must raise its errors in."""
+    for segment in block.batch:
+        advance(run, _Block(run, [segment]))
 
 
 # --- direct-sum signal and unpruned Fourier estimator oracles --------------
