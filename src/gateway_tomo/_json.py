@@ -3,7 +3,8 @@
 ``_check_site`` takes positive int labels, ``site_labels`` sequences of them.
 ``scalar`` takes what numpy reads as a 0-d integer or float array (no bool,
 complex, text, bytes, None, list or int too large for numpy), finite unless
-its bounds say otherwise; ``numbers`` takes finite arrays of such elements.
+its bounds say otherwise; ``numbers`` takes finite arrays of such elements,
+and ``kept_numbers`` tells in bulk whether it would return an array as given.
 ``strict_object`` and ``site_keyed`` take objects with just their schema's
 keys.  Bad input raises InputError naming the argument, or the document and
 its key.
@@ -21,6 +22,7 @@ from .errors import InputError
 _FORMS = {0: "a number", 1: "a list of numbers", None: "a rectangular array of numbers"}
 _MAX = sys.float_info.max
 _FLOAT64 = (float, np.float64)  # numpy reads these as float64; no array is needed
+_INTS = range(-(2**63), 2**64)  # the ints numpy reads as int64 or uint64
 _NOT_COMPLEX = (bool, np.bool_, str, bytes, type(None))  # numpy reads "0.5" as 0.5
 _NOT_REAL = (*_NOT_COMPLEX, complex, np.complexfloating)  # and 1j as its real part
 
@@ -47,7 +49,7 @@ def scalar(value: object, what: str, *args: object, integer: bool = False,
     """``value``, unchanged, if it is one number in [``low``, ``high``] (an integer dtype
     if ``integer``, whole if ``whole``); else InputError naming ``what.format(*args)``."""
     x = value
-    if integer or type(value) not in _FLOAT64:
+    if not (type(value) is int and value in _INTS or not integer and type(value) in _FLOAT64):
         try:
             arr = np.asarray(value)
             ok = arr.ndim == 0 and arr.dtype.kind in ("iu" if integer else "iuf")
@@ -106,3 +108,10 @@ def numbers(value: object, what: str, ndim: int | None = None, dtype=float) -> n
     if not np.isfinite(arr).all():
         raise InputError(f"{what} must be finite")
     return arr
+
+
+def kept_numbers(value: object, ndim: int) -> bool:
+    """Whether ``numbers(value, what, ndim)`` returns ``value`` itself: a finite
+    float64 ndarray of ``ndim`` dimensions."""
+    return (type(value) is np.ndarray and value.dtype == np.float64 and value.ndim == ndim
+            and bool(np.logical_and.reduce(np.isfinite(value), None)))

@@ -6,7 +6,9 @@ come from exact simulation, from finite projective-measurement statistics
 (multinomial shots over eigenstates), or from extrapolating exponentially
 decaying amplitude series back to time zero.  This module also simulates
 the complex return amplitude at the reference site on a uniform time grid,
-the raw signal the spectrum estimator consumes.
+the raw signal the spectrum estimator consumes.  A record passes its rules
+in one bulk test; only a record that fails it meets the rules one at a time,
+in a fixed order, so the first broken one names the fault.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from typing import Iterable
 
 import numpy as np
 
-from ._json import _check_site, numbers, scalar, site_keyed, site_labels, strict_object
+from ._json import _check_site, kept_numbers, numbers, scalar, site_keyed, site_labels
+from ._json import strict_object
 from .errors import InputError
 from .spectral import EigenSystem
 
@@ -60,7 +63,7 @@ class Provenance:
         if self.kind == "exact":
             return 1e-8
         if self.kind == "shots":
-            return 3.0 / np.sqrt(self.shots)
+            return 3.0 / math.sqrt(self.shots)
         return 0.1
 
 
@@ -97,7 +100,21 @@ class SpectralMeasurement:
     provenance: Provenance
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", site_labels(self.nodes))
+        nodes = site_labels(self.nodes)
+        object.__setattr__(self, "nodes", nodes)
+        vals, mods = self.eigenvalues, self.moduli
+        # the rules of _name_the_fault in bulk; only finite moduli pass the norm test
+        if not (kept_numbers(vals, 1) and type(mods) is np.ndarray
+                and mods.dtype == np.float64 and mods.shape == (len(nodes), len(vals))
+                and np.logical_and.reduce(vals[1:] > vals[:-1])
+                and np.minimum.reduce(mods, None, initial=0.0) >= 0
+                and len(set(nodes)) == len(nodes)
+                and np.maximum.reduce(np.abs(np.add.reduce(mods * mods, 1) - 1.0), None,
+                                      initial=0.0) <= self.provenance.norm_slack):
+            self._name_the_fault()
+
+    def _name_the_fault(self) -> None:
+        """Each rule in turn, raising InputError at the first that fails."""
         vals = numbers(self.eigenvalues, "eigenvalues", 1)
         mods = numbers(self.moduli, "moduli")
         object.__setattr__(self, "eigenvalues", vals)
@@ -167,9 +184,8 @@ def _measured_sites(eig: EigenSystem, nodes: Iterable[int]) -> tuple[tuple, list
 def measure_exact(eig: EigenSystem, nodes: Iterable[int]) -> SpectralMeasurement:
     """Read off exact amplitude moduli at the given sites."""
     nodes, rows = _measured_sites(eig, nodes)
-    return SpectralMeasurement(
-        nodes, eig.eigenvalues.copy(), np.abs(eig.vectors[rows]), Provenance("exact")
-    )
+    moduli = np.abs(eig.vectors.take(rows, 0))
+    return SpectralMeasurement(nodes, eig.eigenvalues.copy(), moduli, Provenance("exact"))
 
 
 def measure_shots(
@@ -185,8 +201,8 @@ def measure_shots(
     nodes, rows = _measured_sites(eig, nodes)
     provenance = Provenance("shots", shots=shots, seed=seed)
     rng = np.random.default_rng(seed)
-    weights = eig.vectors[rows] ** 2
-    counts = rng.multinomial(shots, weights / weights.sum(axis=1, keepdims=True))
+    weights = eig.vectors.take(rows, 0) ** 2
+    counts = rng.multinomial(shots, weights / np.add.reduce(weights, 1, keepdims=True))
     return SpectralMeasurement(
         nodes, eig.eigenvalues.copy(), np.sqrt(counts / shots), provenance
     )
@@ -286,7 +302,7 @@ def measure_decaying(
     times = _time_array(times)
     rates = np.asarray(model.rates)
     envelope = np.exp(-0.5 * np.outer(times, rates))
-    amps = np.abs(eig.vectors[rows])[:, None] * envelope
+    amps = np.abs(eig.vectors.take(rows, 0))[:, None] * envelope
     if noise > 0:
         rng = np.random.default_rng(seed)
         amps = amps * np.exp(rng.normal(0.0, noise, size=amps.shape))

@@ -56,9 +56,10 @@ class _Recursion:
         self.row, self.node_family, self.families, self.peak = {}, {}, {}, {}
         self.closed, self.couplings, self.fields, self.mismatch_log = set(), {}, {}, {}
         if meas is not None:
-            self.eigenvalues = np.asarray(meas.eigenvalues, dtype=float)
+            # a row, so a sum rule over one site's column broadcasts nothing
+            self.eigenvalues = meas.eigenvalues.reshape(1, -1)
             # a full reconstruction claims one row per eigenstate
-            self.cols = np.empty((len(self.eigenvalues),) * 2)
+            self.cols = np.empty((len(meas.eigenvalues),) * 2)
             self.moduli_row = dict(zip(meas.nodes, itertools.count()))
 
     def vector(self, node: int) -> np.ndarray:
@@ -83,13 +84,15 @@ class _Recursion:
             self.node_family.update(dict.fromkeys(moved, dst))
 
     def sum_rule(self, own: np.ndarray, known: list, b=None) -> tuple[np.ndarray, ...]:
-        """Fields b = sum E v^2 and vectors (E - b) v - sum c v_u of some sites.
+        """Fields b = sum E v^2, shifts E - b and vectors (E - b) v - sum c v_u
+        of some sites.
 
         ``own`` holds their columns as rows, ``known`` per site the neighbors
         `known` lists; sites past its end have none.  ``b`` may take the fields.
         """
         b = np.add.reduce(self.eigenvalues * own * own, 1, out=b)
-        r = (self.eigenvalues - b[:, None]) * own
+        shift = self.eigenvalues - b[:, None]
+        r = shift * own
         # one neighbor at a time, in order; several in one reduce over their rows
         for i, (_, rows, edges) in enumerate(known):
             if len(rows) == 1:
@@ -99,7 +102,7 @@ class _Recursion:
                 terms = np.reshape(cs, (-1, 1)) * self.cols[rows]
                 terms[0] = r[i] - terms[0]
                 np.subtract.reduce(terms, 0, out=r[i])
-        return b, r
+        return b, shift, r
 
     def replay(self, block: _Block, peaks: bool) -> None:
         """Run a block, one array operation per recursion step, and settle it.
@@ -113,19 +116,20 @@ class _Recursion:
         written.  Family peaks are kept only if ``peaks``.
         """
         overlap, floor = self.tolerances.overlap_tol, self.tolerances.coupling_tol**2
-        nodes, edges, sign = block.nodes, block.edges, block.sign
-        cols = np.empty((len(nodes) + len(block.batch), len(self.eigenvalues)))
+        nodes, edges, lanes = block.nodes, block.edges, len(block.batch)
+        cols = np.empty((len(nodes) + lanes, self.eigenvalues.size))
         arrivals = cols[len(nodes) :]
-        rows = [self.moduli_row[n] for n in block.heads]
-        arrivals[block.measured] = self.meas.moduli[rows]
+        if block.heads:  # every lane is measured; lane j's head column goes to row j
+            rows = [self.moduli_row[n] for n in block.heads]
+            self.meas.moduli.take(rows, 0, out=cols[:lanes])
         for j, _, row in block.tops:
-            arrivals[j] = self.cols[row]
-        cols[: block.lead], peak = arrivals[: block.lead], peaks and np.abs(arrivals)
+            cols[j] = self.cols[row]
+        peak = peaks and np.abs(cols[:lanes])
         for j, family, _ in block.tops if peaks else ():
             np.maximum(self.peak[family], peak[j], out=peak[j])
         b_all, c_all, fail = np.empty(len(nodes)), np.empty((len(nodes), 1)), {}
-        for lo, hi, a, back, going in block.steps:
-            _, r = self.sum_rule(cols[lo:hi], () if lo else block.known, b_all[lo:hi])
+        for lo, hi, a, back, going, sign in block.steps:
+            *_, r = self.sum_rule(cols[lo:hi], () if lo else block.known, b_all[lo:hi])
             if lo:  # step 0 runs the heads, which the peaks hold already
                 r -= c[:a] * cols[back : back + a]
                 if peaks:
@@ -137,7 +141,7 @@ class _Recursion:
                     n, e, x = nodes[lo + j], edges[lo + j], math.sqrt(c_sq[j, 0])
                     fail.setdefault(j, NearZeroDivisionError(n, e, x))
                 c_sq[low], r[low[:, 0]] = 1.0, 0.0  # the failed lane runs on as zeros
-            c = np.multiply(sign[lo:hi], np.sqrt(c_sq), out=c_all[lo:hi])
+            c = np.multiply(sign, np.sqrt(c_sq), out=c_all[lo:hi])
             if going:
                 np.divide(r[:going], c[:going], out=cols[hi : hi + going])
             if going < a:
@@ -176,7 +180,7 @@ class _Recursion:
             raise fail[min(fail, key=block.rank.__getitem__)]
         if eps is not None:
             cols[: len(nodes)] *= eps[block.lanes]
-        self.cols[block.row0 : block.row0 + len(block.keep)] = cols[block.keep]
+        cols.take(block.keep, 0, out=self.cols[block.row0 : block.row0 + len(block.keep)])
         for (src, _, rows), flip in zip(block.moves, flips):
             self.cols[rows] *= flip
             del self.peak[src]
@@ -192,11 +196,12 @@ class _Block:
 
     Lanes are the segments, longest first; a measured one seeds its family
     from its head's moduli, a derived one continues the family holding its
-    head column.  Step k runs the first ``a`` lanes into rows lo:hi of the
-    block's columns; lane j arrives in row len(nodes) + j.  ``terminals``
-    settles each terminal in schedule order: the family that held it before
-    the block keeps it, or else the first arrival claims it, and every other
-    arrival joins the holder.
+    head column.  Lane j starts from its head column in row j, since only a
+    block of one lane holds a segment without steps; step k runs the first
+    ``a`` lanes into rows lo:hi of the block's columns, and lane j arrives in
+    row len(nodes) + j.  ``terminals`` settles each terminal in schedule order:
+    the family that held it before the block keeps it, or else the first
+    arrival claims it, and every other arrival joins the holder.
     """
 
     def __init__(self, sites: _Recursion, batch: list[tuple[str, BranchPeel]]):
@@ -212,18 +217,19 @@ class _Block:
         self.batch, self.row0 = tuple(batch), len(sites.row)
         # a derived lane continues its family from a row, a measured one reads its head
         self.tops = [(j, f, seeds[j]) for j, f in enumerate(tops) if f]
-        self.measured = np.flatnonzero([t is None for t in tops])
-        self.heads = [seeds[j] for j in self.measured]
+        self.heads = [seed for seed, top in zip(seeds, tops) if top is None]
         shorter = [1 - len(s) for s in seqs]
         active = [bisect.bisect_left(shorter, -k) for k in range(-shorter[0])]
         start = [0, *itertools.accumulate(active)]
         self.nodes = nodes = [s[k] for k, a in enumerate(active) for s in seqs[:a]]
         succ = [s[k + 1] for k, a in enumerate(active) for s in seqs[:a]]
         self.edges = list(map(edge_key, nodes, succ))
-        self.sign = np.array([[sites.g.sign_of[e]] for e in self.edges], dtype=float)
+        sign = np.array([[sites.g.sign_of[e]] for e in self.edges], dtype=float)
         # per step: lo, hi, a, the first row of the step before, the lanes going on
-        self.steps = list(zip(start, start[1:], active, [0, *start], [*active[1:], 0]))
-        self.lead = lead = active[0] if active else 0
+        # and the signs of the step's edges
+        self.steps = list(zip(start, start[1:], active, [0, *start], [*active[1:], 0],
+                              map(sign.__getitem__, map(slice, start, start[1:]))))
+        lead = active[0] if active else 0
         self.known = [sites.known(n) for n in nodes[:lead]]  # step 0 subtracts these
         at_terminal, self.terminals, self.moves = {}, [], []
         claimed, owner = [False] * len(seqs), list(fams)
@@ -343,20 +349,20 @@ def _solve_cycle_moments(
     length = len(cyc)
     vecs = np.array([run.meas.moduli[run.moduli_row[n]] if row is None else run.cols[row]
                      for n, row in zip(cyc, schedule.rows)])
-    b, r = run.sum_rule(vecs, schedule.tree)
-    fields.update(zip(cyc, b.tolist()))
+    b, shift, r = run.sum_rule(vecs, schedule.tree)
+    fields.update(zip(cyc, bs := b.tolist()))
     np.add.reduce(r * r, 1, out=system[:length, length])
 
     if len(schedule.moments) > 1:
         # column i: row k + i's field steps back and ahead, then its third moment
         steps = np.empty((3, length))
         np.subtract(b[schedule.around], b, out=steps[:2])
-        np.add.reduce((run.eigenvalues - b[:, None]) ** 3 * vecs**2, 1, out=steps[2])
+        np.add.reduce(shift**3 * vecs**2, 1, out=steps[2])
         for i, n, u, e in schedule.branches:
             c = couplings[e]
             steps[2, i] -= c * c * (fields[u] - fields[n])
         scale = np.maximum.reduce(np.abs(steps[:2]))
-        keep = scale > 1e-12 * max(1.0, float(np.maximum.reduce(np.abs(b))))
+        keep = scale > 1e-12 * max(1.0, max(bs), -min(bs))
         system.flat[schedule.place] = np.divide(steps, scale, out=steps, where=keep)
         if not all(keep.tolist()):
             system = system[np.concatenate((np.ones(length, bool), keep))]
@@ -424,9 +430,15 @@ def reconstruct(
 
     Leftover site equations (those no segment or cycle consumed) become
     consistency residuals keyed ``site_<n>``; family merges report their
-    column disagreement under ``merge_<n>``.  Externally supplied fields,
-    finite numbers at sites of ``g``, are only compared against the
-    recovered ones under ``field_supplied_<n>``, not fed into the recursion.
+    column disagreement under ``merge_<n>``.  When the plan's tree is a path,
+    the one check site is the far end of the reference path and its residual
+    checks no data: the recursion is Lanczos on diag(E), which closes after N
+    steps for any normalised record with no zero weight, so the residual is
+    zero in exact arithmetic and in floating point measures the recursion's
+    loss of orthogonality, on noisy chain records as on exact ones.
+    Externally supplied fields, finite numbers at sites of ``g``, are only
+    compared against the recovered ones under ``field_supplied_<n>``, not fed
+    into the recursion.
     """
     schedule = _schedule(g, plan)
     missing = schedule.access.difference(meas.nodes)
@@ -455,7 +467,7 @@ def reconstruct(
     # leftover equations become consistency checks
     residuals: dict[str, float] = {}
     if schedule.checks:
-        b, r = run.sum_rule(run.cols[schedule.check_rows], schedule.known)
+        b, _, r = run.sum_rule(run.cols.take(schedule.check_rows, 0), schedule.known)
         fields.update(zip(schedule.checks, b.tolist()))
         residuals.update(zip(schedule.keys, np.add.reduce(r * r, 1).tolist()))
     residuals.update(run.mismatch_log)  # merge_<n> keys, never a site_<n> key

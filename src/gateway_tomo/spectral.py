@@ -10,6 +10,7 @@ the reconstruction recursion.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -54,8 +55,7 @@ def _kept_as_given(fields: object, couplings: object) -> bool:
     us, vs = zip(*couplings) if pairs and couplings else ((), ())
     return ({*map(type, vals)} <= {float} and {*map(type, [*fields, *us, *vs])} <= {int}
             and min(fields, default=1) >= 1 and min(us, default=1) >= 1
-            and all(map(operator.lt, us, vs))
-            and bool(np.isfinite(np.fromiter(vals, float, len(vals))).all()))
+            and all(map(operator.lt, us, vs)) and all(map(math.isfinite, vals)))
 
 
 def params_to_json(params: HamiltonianParams) -> dict:
@@ -168,13 +168,14 @@ class EigenSystem:
 
 
 def eigendecompose(sym: SymmetricMatrix) -> EigenSystem:
-    mat = np.asarray(sym.matrix, dtype=float)
+    mat = numbers(sym.matrix, "matrix")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InputError(f"matrix must be square, got shape {mat.shape}")
     if mat.shape[0] != len(sym.nodes):
         raise InputError("matrix size does not match the site list")
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    if np.max(np.abs(mat - mat.T)) > 1e-12 * scale:
+    # the largest |entry|, and of the antisymmetric mat - mat.T the largest entry
+    scale = max(1.0, float(mat.max()), -float(mat.min()))
+    if (mat - mat.T).max() > 1e-12 * scale:
         raise InputError("matrix is not symmetric")
     vals, vecs = np.linalg.eigh(mat)
     return EigenSystem(tuple(sym.nodes), vals, vecs)

@@ -22,6 +22,7 @@ from gateway_tomo import (
     decay_series_to_json,
     eigendecompose,
     estimate_spectrum_fft,
+    extrapolate_t0,
     gauge_fix,
     measure_decaying,
     measure_exact,
@@ -199,6 +200,29 @@ def test_measurement_validation_catches_bad_rows(dimer):
             np.full((2, 2), 1 / math.sqrt(2)),
             Provenance("exact"),
         )
+
+
+def test_records_the_toolkit_builds_pass_the_bulk_test(monkeypatch, rng, fmo_graph):
+    """Exact, shot (zero counts included), extrapolated, FFT-spectrum and JSON
+    records pass every rule in bulk; the rule-by-rule path runs only to name a
+    fault, so reaching it here would mean a record fell off the fast path."""
+    def refuse(record):
+        raise AssertionError(f"rule-by-rule checks ran for {record.nodes}")
+
+    monkeypatch.setattr(SpectralMeasurement, "_name_the_fault", refuse)
+    for g in (fmo_graph, NetworkGraph.from_edges([(1, 2), (2, 3), (2, 4), (4, 5)])):
+        *_, fixed, meas = generic_system(rng, g)
+        sites = tuple(fixed.nodes)
+        records = [meas, measure_exact(fixed, sites)]
+        records += [measure_shots(fixed, sites, 10**k, seed=k) for k in range(1, 9)]
+        model = DecayModel(tuple(np.linspace(1e-3, 1e-2, len(sites))))
+        fit = extrapolate_t0(measure_decaying(fixed, sites, np.linspace(0, 50, 6), model))
+        records += [fit.to_measurement(), measurement_from_json(measurement_to_json(meas))]
+        times = np.arange(8192) * (200 / 2047)
+        spectrum = estimate_spectrum_fft(return_amplitude(fixed, sites[0], times), len(sites))
+        records.append(SpectralMeasurement(fit.nodes, spectrum.eigenvalues, fit.moduli,
+                                           Provenance("extrapolated")))
+        assert any((r.moduli == 0).any() for r in records)  # a state no shot found
 
 
 def test_shot_sampling_is_seeded_and_quantised(dimer):

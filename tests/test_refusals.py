@@ -1,6 +1,6 @@
 """Refusals of caller input that no other test reaches: each is an InputError
 whose message says what was wrong, from the library or, as exit code 2, from
-the command line."""
+the command line.  Next to them, the edge cases a rule takes as given."""
 
 import json
 import re
@@ -50,6 +50,40 @@ def setup(tmp_path) -> SimpleNamespace:
 
 
 DECAYING = ("simulate", "--kind", "decaying")
+VALS = np.array([-1.0, 0.0, 2.0])
+MODS = np.array([[0.6, 0.8, 0.0], [0.0, 0.6, 0.8]])
+
+
+def put(array: np.ndarray, index, value: float) -> np.ndarray:
+    """A copy of ``array`` with ``value`` at ``index``."""
+    out = array.copy()
+    out[index] = value
+    return out
+
+
+# case -> (sites, eigenvalues, moduli) of an exact record from float64 arrays, and the
+# message; the rule that names the fault runs only when the bulk test fails
+RECORD_FAULTS = {
+    **{f"eigenvalue-{name}-{at}": (((1, 2), put(VALS, i, x), MODS),
+                                   "eigenvalues must be finite")
+       for name, x in (("nan", np.nan), ("inf", np.inf), ("minus-inf", -np.inf))
+       for at, i in (("first", 0), ("middle", 1), ("last", 2))},
+    "eigenvalue-repeated": (((1, 2), put(VALS, 1, -1.0), MODS),
+                            "eigenvalues must be strictly increasing"),
+    "modulus-nan": (((1, 2), VALS, put(MODS, (1, 2), np.nan)), "moduli must be finite"),
+    "modulus-inf": (((1, 2), VALS, put(MODS, (1, 2), np.inf)), "moduli must be finite"),
+    "modulus-negative": (((1, 2), VALS, put(MODS, (1, 2), -0.8)),
+                         "moduli must be nonnegative"),
+    "moduli-shape": (((1, 2), VALS, MODS[:1]),
+                     r"moduli shape \(1, 3\) does not match 2 sites x 3 eigenvalues"),
+    "site-repeated": (((1, 1), VALS, MODS), "measured sites must be distinct"),
+    "norm": (((1, 2), VALS, put(MODS, (1, 0), 0.1)),
+             r"modulus squares at site 2 sum to 1\.010000, outside 1 \+/- 1e-08"),
+    "no-site": (((), VALS, MODS[:1]),
+                r"moduli shape \(1, 3\) does not match 0 sites x 3 eigenvalues"),
+    "one-state": (((1,), VALS[:1], np.array([[0.5]])),
+                  r"modulus squares at site 1 sum to 0\.250000, outside 1 \+/- 1e-08"),
+}
 # case -> (a call that refuses its input, or a command line, and the message)
 REFUSALS = {
     "reconstruct-lacks-access": (lambda s: reconstruct(
@@ -84,6 +118,25 @@ REFUSALS = {
         {"b": {"1": 0.0, "2": 0.0}, "c": {"1-x": 1.0}}), "key '1-x' is not of the form"),
     "eigendecompose-not-square": (lambda s: eigendecompose(
         SymmetricMatrix((1, 2), np.zeros((2, 3)))), r"square, got shape \(2, 3\)"),
+    "eigendecompose-nan": (lambda s: eigendecompose(SymmetricMatrix(
+        (1, 2), np.array([[np.nan, 1.0], [1.0, 0.0]]))), "matrix must be finite"),
+    "eigendecompose-inf": (lambda s: eigendecompose(SymmetricMatrix(
+        (1, 2), np.array([[np.inf, 1.0], [1.0, 0.0]]))), "matrix must be finite"),
+    "eigendecompose-text": (lambda s: eigendecompose(SymmetricMatrix(
+        (1, 2), [[0.0, "x"], ["x", 0.0]])), "matrix must be a rectangular array of numbers"),
+    "eigendecompose-bool": (lambda s: eigendecompose(SymmetricMatrix(
+        (1, 2), [[True, 1.0], [1.0, 0.0]])), "matrix must be a rectangular array of numbers"),
+    **{f"measurement-ndarray-{case}": (lambda s, args=args: SpectralMeasurement(*args, EXACT),
+                                       message)
+       for case, (args, message) in RECORD_FAULTS.items()},
+    "provenance-shots-2**63": (lambda s: Provenance("shots", shots=2**63),
+        r"shot count 9223372036854775808 is not a whole number in \[1, 9223372036854775807\]"),
+    "provenance-shots-true": (lambda s: Provenance("shots", shots=True),
+                              "shot count True is not a whole number"),
+    "provenance-seed-2**64": (lambda s: Provenance("shots", shots=5, seed=2**64),
+                              "seed 18446744073709551616 is not a nonnegative integer"),
+    "provenance-seed-true": (lambda s: Provenance("shots", shots=5, seed=True),
+                             "seed True is not a nonnegative integer"),
     "assemble-couplings": (lambda s: assemble_single_excitation(PATH3, HamiltonianParams(
         s.params.local_fields, {(1, 2): 0.8})), r"couplings do not match edges \(missing"),
     "cli-times": ((*DECAYING, "--gamma", "0.1", "--times", "1:2"),
@@ -112,3 +165,31 @@ def test_refusal_is_an_input_error_naming_the_fault(case, tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert re.search(f"^error: {message}", err) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", RECORD_FAULTS)
+def test_listed_record_is_refused_as_its_arrays_are(case):
+    """The rule path names the fault of a record given as lists in the words it
+    uses for the same record given as float64 arrays."""
+    (nodes, vals, mods), message = RECORD_FAULTS[case]
+    with pytest.raises(InputError, match=message):
+        SpectralMeasurement(list(nodes), vals.tolist(), mods.tolist(), EXACT)
+
+
+# case -> (a call whose input sits at the edge of what its rules take, what it keeps)
+ACCEPTED = {
+    "provenance-shots-2**63-1": (lambda: Provenance("shots", shots=2**63 - 1).shots,
+                                 2**63 - 1),
+    "provenance-seed-2**64-1": (lambda: Provenance("shots", shots=5, seed=2**64 - 1).seed,
+                                2**64 - 1),
+    "measurement-no-site": (lambda: SpectralMeasurement(
+        (), VALS, np.zeros((0, 3)), EXACT).moduli.shape, (0, 3)),
+    "measurement-one-state": (lambda: SpectralMeasurement(
+        (1,), VALS[:1], np.ones((1, 1)), EXACT).moduli.shape, (1, 1)),
+}
+
+
+@pytest.mark.parametrize("case", ACCEPTED)
+def test_input_at_the_edge_of_a_rule_is_taken(case):
+    call, kept = ACCEPTED[case]
+    assert call() == kept
